@@ -1,17 +1,16 @@
 package core
 
 import (
-	"context"
 	"math"
-	"sync"
-	"sync/atomic"
+	"slices"
 )
 
 // Adaptive early termination — the "accuracy autopilot" over Algorithm 4's
 // Monte Carlo phase. The paper's budget (f_r = 3·ln(n/δ) rounds of
 // d_r = c1/ε² samples) is a worst-case bound over power-law graphs; typical
-// queries converge long before it is spent. The adaptive phase executes
-// rounds progressively and, after each fully-merged round, evaluates two
+// queries converge long before it is spent. An adaptive query runs the same
+// walk phase as a fixed one (runWalkPhase), in windows of rounds that end at
+// the stop-check schedule; after each merged window it evaluates two
 // convergence tests and stops as soon as both clear:
 //
 //   - a scalar empirical-Bernstein bound on the per-round hub-mass share
@@ -31,10 +30,10 @@ import (
 //
 // Determinism: the stop decision is a pure function of fully-merged state at
 // a round boundary, and rounds are merged in the same canonical ascending
-// (round, chunk) order as the fixed path, so for a fixed (seed, source,
+// (round, chunk) order as a fixed query's, so for a fixed (seed, source,
 // effective epsilon) the stop round — and with it every score bit — is
 // identical at every parallelism level. A query that never stops early
-// executes and merges exactly the fixed path's chunk sequence and is
+// executes and merges exactly the fixed query's chunk sequence and is
 // therefore bit-identical to Adaptive=false.
 const (
 	// defaultMinRounds floors adaptive stopping; two merged rounds are the
@@ -92,173 +91,19 @@ const (
 	adaptiveCheckStride      = 4
 )
 
-// adaptiveParams carries the per-request adaptive knobs into the walk phase.
-type adaptiveParams struct {
-	enabled   bool
-	minRounds int
-}
-
-// adaptiveParams lowers the request's adaptive knobs for runWalkPhase.
-func (q QueryOptions) adaptiveParams() adaptiveParams {
-	return adaptiveParams{enabled: q.Adaptive, minRounds: q.MinRounds}
-}
-
-// runWalkPhaseAdaptive is runWalkPhase's progressive variant: one round of
-// cpr chunks executes (fanned over up to p workers), merges through the same
-// canonical mergeRound fold as the fixed path, feeds the stop accumulators,
-// and the loop exits at the first round boundary ≥ the floor where the
-// confidence bound clears — or at the full budget. Only merged rounds count
-// toward stats; executed always equals merged here (nothing speculative runs
-// past the stop round), so early stopping never shows up as lost work in the
-// chunk counters.
-func (idx *Index) runWalkPhaseAdaptive(ctx context.Context, s *queryState, u int, opts Options, stats *QueryStats, p int, ad adaptiveParams, dr, fr, cpr int, etaInc, bwInvDiv float64) error {
-	if p > cpr {
-		p = cpr
-	}
-	if p < 1 {
-		p = 1
-	}
-	qseed := querySeed(opts.Seed, u)
-	minR := ad.minRounds
-	if minR < defaultMinRounds {
-		minR = defaultMinRounds
-	}
-	if minR > fr {
-		minR = fr
-	}
-
-	if cap(s.chunkRes) < cpr {
-		s.chunkRes = make([]*chunkResult, cpr)
-	}
-	crs := s.chunkRes[:cpr]
-	// chunkLen is the sample count of chunk k within a round (the last chunk
-	// carries the remainder) — the same decomposition as the fixed path.
-	chunkLen := func(k int) int {
-		if cs := dr - k*walkChunkSize; cs < walkChunkSize {
-			return cs
-		}
-		return walkChunkSize
-	}
-
-	// Chunk execution runs on borrowed states only — never on s. Unlike the
-	// one-shot path, s already holds merged η·π accumulators from earlier
-	// rounds while later rounds' chunks execute, and runChunk's compaction
-	// assumes its state's accumulators start empty; keeping s a pure merge
-	// target preserves that invariant. The states are borrowed once for the
-	// whole phase, not per round.
-	workers := make([]*queryState, p)
-	for w := range workers {
-		ws := idx.getState()
-		ws.resetScratch()
-		workers[w] = ws
-	}
-	defer func() {
-		for _, ws := range workers {
-			idx.putState(ws)
-		}
-	}()
-
-	s.beginAdaptive()
-
-	R, streak := 0, 0
-	for i := 0; i < fr; i++ {
-		base := i * cpr
-		if p == 1 {
-			ws := workers[0]
-			for k := 0; k < cpr; k++ {
-				if err := ctx.Err(); err != nil {
-					idx.chunksExecuted.Add(int64(idx.releaseChunks(crs[:k])))
-					return err
-				}
-				cr := idx.getChunk()
-				ws.runChunk(u, chunkLen(k), chunkSeed(qseed, base+k), etaInc, bwInvDiv, opts.MaxLevels, cr)
-				crs[k] = cr
-			}
-		} else {
-			var (
-				next    atomic.Int64
-				aborted atomic.Bool
-				wg      sync.WaitGroup
-			)
-			next.Store(-1)
-			run := func(ws *queryState) {
-				for {
-					if aborted.Load() {
-						return
-					}
-					k := int(next.Add(1))
-					if k >= cpr {
-						return
-					}
-					if ctx.Err() != nil {
-						aborted.Store(true)
-						return
-					}
-					cr := idx.getChunk()
-					ws.runChunk(u, chunkLen(k), chunkSeed(qseed, base+k), etaInc, bwInvDiv, opts.MaxLevels, cr)
-					crs[k] = cr
-				}
-			}
-			for _, ws := range workers[1:] {
-				wg.Add(1)
-				go func(ws *queryState) {
-					defer wg.Done()
-					run(ws)
-				}(ws)
-			}
-			run(workers[0])
-			wg.Wait()
-			if err := ctx.Err(); err != nil {
-				idx.chunksExecuted.Add(int64(idx.releaseChunks(crs)))
-				return err
-			}
-		}
-		idx.chunksExecuted.Add(int64(cpr))
-		hub0 := stats.HubHits
-		idx.mergeRound(s, crs[:cpr], i, stats)
-		idx.chunksMerged.Add(int64(cpr))
-		R = i + 1
-		s.foldRoundAdaptive(i, float64(stats.HubHits-hub0)/float64(dr))
-		if R >= minR && R < fr && adaptiveCheckRound(R) {
-			if s.adaptiveConverged(R, opts) {
-				if streak++; streak >= adaptiveConfirmRounds {
-					break
-				}
-			} else {
-				streak = 0
-			}
-		}
-	}
-
-	stats.Chunks += R * cpr
-	stats.Parallelism = p
-	stats.RoundsExecuted, stats.RoundsBudget = R, fr
-	stats.EarlyStopped = R < fr
-
-	if R < fr {
-		// η̂π accumulated at weight 1/(d_r·f_r); with only R rounds merged the
-		// unbiased mean over the executed samples is the accumulated value
-		// rescaled by f_r/R. Skipped at the full budget, so a never-stopping
-		// adaptive query keeps the fixed path's exact bits.
-		s.rescaleEta(float64(fr) / float64(R))
-	}
-	s.medianScores(R)
-	return nil
-}
-
-// beginAdaptive resets the scalar hub-mass stop accumulators for one
-// adaptive query. The per-node side of the stop rule reads the compacted
+// resetHubMass resets the scalar hub-mass stop accumulators at the start of a
+// walk phase. The per-node side of the stop rule reads the compacted
 // per-round estimates directly (see medianConcentrated), so it needs no
 // per-query preparation.
-func (s *queryState) beginAdaptive() {
+func (s *queryState) resetHubMass() {
 	s.hSum, s.hSumSq = 0, 0
 	s.hMin, s.hMax = math.Inf(1), math.Inf(-1)
 }
 
-// foldRoundAdaptive folds merged round i's hub-mass share (hub terminations
-// / d_r) into the scalar stop accumulators. The per-node estimates already
-// live in the round-i sparse lists the median pass reads.
-func (s *queryState) foldRoundAdaptive(i int, hubMass float64) {
+// foldHubMass folds one merged round's hub-mass share (hub terminations /
+// d_r) into the scalar stop accumulators. The per-node estimates already
+// live in the round's sparse lists the median pass reads.
+func (s *queryState) foldHubMass(hubMass float64) {
 	s.hSum += hubMass
 	s.hSumSq += hubMass * hubMass
 	if hubMass < s.hMin {
@@ -293,10 +138,17 @@ func (s *queryState) adaptiveConverged(R int, opts Options) bool {
 	return s.medianConcentrated(R, target)
 }
 
-// adaptiveCheckRound reports whether the stop rule is evaluated at round
-// boundary R — every round early on, every adaptiveCheckStride rounds later.
-func adaptiveCheckRound(R int) bool {
-	return R <= adaptiveDenseCheckRounds || R%adaptiveCheckStride == 0
+// windowEnd returns the round boundary that closes the walk-phase window
+// starting after R merged rounds: the next boundary, at or past the floor
+// minR, where the stop rule runs — every round up to
+// adaptiveDenseCheckRounds, every adaptiveCheckStride-th round after — or
+// the budget fr. A fixed query passes minR = fr and gets one window.
+func windowEnd(R, minR, fr int) int {
+	end := max(R+1, minR)
+	for end < fr && end > adaptiveDenseCheckRounds && end%adaptiveCheckStride != 0 {
+		end++
+	}
+	return end
 }
 
 // medianConcentrated reports whether, for every node touched by the first R
@@ -311,35 +163,10 @@ func adaptiveCheckRound(R int) bool {
 // fails: screened rows are cleared sparsely through the round lists, sorted
 // rows (whose values the sort moved) wholesale.
 func (s *queryState) medianConcentrated(R int, target float64) bool {
-	s.gen++
-	if s.gen == 0 { // generation counter wrapped; invalidate all stale marks
-		for i := range s.uidGen {
-			s.uidGen[i] = 0
-		}
-		s.gen = 1
-	}
-	s.unionNodes = s.unionNodes[:0]
-	for i := 0; i < R && i < len(s.roundNodes); i++ {
-		for _, v32 := range s.roundNodes[i] {
-			v := int(v32)
-			if s.uidGen[v] != s.gen {
-				s.uidGen[v] = s.gen
-				s.uid[v] = int32(len(s.unionNodes))
-				s.unionNodes = append(s.unionNodes, v)
-			}
-		}
-	}
-	if len(s.unionNodes) == 0 {
-		return true
-	}
-	need := len(s.unionNodes) * R
-	if cap(s.valsMat) < need {
-		s.valsMat = make([]float64, need)
-	}
-	mat := s.valsMat[:need]
-	for i := 0; i < R && i < len(s.roundNodes); i++ {
+	mat := s.unionRounds(R)
+	for i, nodes := range s.roundNodes[:R] {
 		vals := s.roundVals[i]
-		for j, v32 := range s.roundNodes[i] {
+		for j, v32 := range nodes {
 			mat[int(s.uid[v32])*R+i] = vals[j]
 		}
 	}
@@ -348,16 +175,7 @@ func (s *queryState) medianConcentrated(R int, target float64) bool {
 	s.sortedRows = s.sortedRows[:0]
 	for ui := range s.unionNodes {
 		row := mat[ui*R : (ui+1)*R]
-		mn, mx := row[0], row[0]
-		for _, x := range row[1:] {
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-		if mx-mn <= target {
+		if slices.Max(row)-slices.Min(row) <= target {
 			continue
 		}
 		s.sortedRows = append(s.sortedRows, int32(ui))
@@ -373,16 +191,13 @@ func (s *queryState) medianConcentrated(R int, target float64) bool {
 			break
 		}
 	}
-	for i := 0; i < R && i < len(s.roundNodes); i++ {
-		for _, v32 := range s.roundNodes[i] {
+	for i, nodes := range s.roundNodes[:R] {
+		for _, v32 := range nodes {
 			mat[int(s.uid[v32])*R+i] = 0
 		}
 	}
 	for _, ui := range s.sortedRows {
-		row := mat[int(ui)*R : int(ui+1)*R]
-		for k := range row {
-			row[k] = 0
-		}
+		clear(mat[int(ui)*R : int(ui+1)*R])
 	}
 	return ok
 }

@@ -1,8 +1,7 @@
-// The race detector deliberately randomizes sync.Pool (dropping items on
-// Put/Get to shake out races), so pooled scratch legitimately reallocates
-// under -race and the ~0-alloc assertion only holds on regular builds.
-
-//go:build !race
+// Query scratch lives on a per-index LIFO free list, not in a sync.Pool, so
+// nothing drops it when GOMAXPROCS changes (testing.AllocsPerRun sets it to
+// 1), when a GC runs, or under the race detector: these counts hold on every
+// build and at every GOMAXPROCS. CI runs them at GOMAXPROCS 1, 2 and 4.
 
 package core
 
@@ -12,15 +11,15 @@ import (
 	"testing"
 )
 
-// TestQueryIntoSteadyStateAllocs pins the pooled-scratch guarantee: once the
-// per-index scratch pool and the caller's reused Result have warmed up, a
+// TestQueryIntoSteadyStateAllocs pins the recycled-scratch guarantee: once
+// the per-index free list and the caller's reused Result have warmed up, a
 // QueryInto performs (approximately) zero heap allocations — the walkers,
-// dense accumulators, median workspace, and batch buffers are all recycled,
-// and the score map is cleared in place rather than reallocated. A couple of
-// allocations of slack absorb runtime noise (e.g. a GC cycle snatching the
-// pooled state mid-measurement), but a regression that reintroduces per-query
-// maps, sorts with allocating comparators, or fresh walk buffers shows up as
-// dozens of allocations and fails loudly.
+// dense accumulators, median workspace, chunk results and batch buffers are
+// all recycled, and the score map is cleared in place rather than
+// reallocated. A couple of allocations of slack absorb runtime noise, but a
+// regression that reintroduces per-query maps, sorts with allocating
+// comparators, or fresh walk buffers shows up as dozens of allocations and
+// fails loudly.
 func TestQueryIntoSteadyStateAllocs(t *testing.T) {
 	g := largerTestGraph(2000, 6, 13)
 	idx, err := BuildIndex(g, Options{Epsilon: 0.25, NumHubs: 40, Seed: 9, SampleScale: 0.2})
@@ -46,10 +45,11 @@ func TestQueryIntoSteadyStateAllocs(t *testing.T) {
 }
 
 // TestQueryParallelSteadyStateAllocs extends the guarantee to the parallel
-// walk path: worker states and chunk results are pooled, so once warm a
-// parallel query's only per-run heap traffic is spawning its few worker
-// goroutines. A regression that allocates per chunk (fresh chunk buffers,
-// un-pooled states) multiplies with the chunk count and fails loudly.
+// walk path: worker states come from the free list and chunk results live on
+// the merging state, so once warm a parallel query's only per-run heap
+// traffic is spawning its few worker goroutines. A regression that allocates
+// per chunk (fresh chunk buffers, unrecycled states) multiplies with the
+// chunk count and fails loudly.
 func TestQueryParallelSteadyStateAllocs(t *testing.T) {
 	g := largerTestGraph(2000, 6, 13)
 	idx, err := BuildIndex(g, Options{Epsilon: 0.2, NumHubs: 40, Seed: 9, SampleScale: 0.1})

@@ -141,10 +141,8 @@ func (idx *Index) queryBatchImpl(ctx context.Context, sources []int, results []*
 		// out across the workers. Each phase is self-contained (private
 		// state, private streams), so scheduling cannot affect bits.
 		walkOne := func(i int) error {
-			st := states[i-base]
-			st.beginQuery(sources[i])
 			stats[i] = QueryStats{Epsilon: effOpts[i].Epsilon}
-			return idx.runWalkPhase(ctx, st, sources[i], effOpts[i], &stats[i], 1, optFor(i).adaptiveParams())
+			return idx.runWalkPhase(ctx, states[i-base], sources[i], effOpts[i], optFor(i), 1, &stats[i])
 		}
 		if pw <= 1 {
 			for i := base; i < end; i++ {
@@ -180,8 +178,8 @@ func (idx *Index) queryBatchImpl(ctx context.Context, sources []int, results []*
 			wg.Wait()
 			if err := ctx.Err(); err != nil {
 				// Cancelled phases left their states clean; completed ones
-				// hold accumulated scores that resetScratch reclaims on next
-				// use.
+				// hold accumulated scores that the next walk phase's
+				// resetScratch reclaims.
 				return err
 			}
 		}
@@ -198,18 +196,24 @@ func (idx *Index) queryBatchImpl(ctx context.Context, sources []int, results []*
 	return nil
 }
 
-// readIndexFused is the batch form of readIndexInto: one pass over the union
-// of a wave's eligible (level, rank) pairs — levels ascending, ranks
-// ascending — reading each reserve list once and folding it into every
-// source whose η̂π clears that source's own ε/c₁ threshold (opts[i] is the
-// wave's i-th source's effective option set; heterogeneous epsilons simply
-// gate differently against the same streamed list). Restricted to one
-// source, the fold sequence is exactly the solo pass's, so fusion never
-// changes bits.
+// readIndexFused runs sI(u, v), the index-read pass, for a wave of sources
+// at once; a solo query is a one-state wave. For every hub w and level ℓ
+// with η̂π_ℓ(u,w) > ε/c₁ it folds the stored reserves L_ℓ(w) into the
+// source's final-score accumulator. One pass visits the union of the wave's
+// eligible (level, rank) pairs — levels ascending, ranks ascending — reading
+// each reserve list once and folding it into every source whose η̂π clears
+// that source's own threshold (opts[i] is the wave's i-th source's effective
+// option set; heterogeneous epsilons simply gate differently against the
+// same streamed list). The canonical visit order fixes the floating-point
+// accumulation order independently of sampling history and of the wave's
+// other sources, so fused and solo queries produce identical bits.
 func (idx *Index) readIndexFused(states []*queryState, opts []Options, stats []QueryStats) {
-	thresholds := make([]float64, len(states))
+	// Waves are rarely wider than fusedWaveSize; the array keeps a solo
+	// query's thresholds off the heap.
+	var buf [fusedWaveSize]float64
+	thresholds := buf[:0]
 	for i := range states {
-		thresholds[i] = opts[i].Epsilon / opts[i].c1()
+		thresholds = append(thresholds, opts[i].rmax())
 	}
 	alpha := opts[0].alpha()
 	invAlphaSq := 1 / (alpha * alpha)

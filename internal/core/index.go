@@ -46,14 +46,14 @@ type Index struct {
 	entryOffsets []uint64     // len hubLevelPos[NumHubs]+1: prefix sums into entrySlab
 	entrySlab    []IndexEntry // all (node, reserve) pairs, hub-major then level-major
 
-	// statePool recycles queryState scratch (walkers, dense accumulators,
-	// median workspace) across queries; concurrent queries each draw their own
-	// state, which is what makes Query safe to call from many goroutines.
-	statePool sync.Pool
-
-	// chunkPool recycles the compacted per-chunk walk-phase outputs so
-	// parallel queries stay allocation-free at steady state.
-	chunkPool sync.Pool
+	// freeStates is a LIFO free list of idle queryState scratch (walkers,
+	// dense accumulators, median workspace, chunk results); concurrent
+	// queries each draw their own state, which is what makes Query safe to
+	// call from many goroutines. A query frees its own state after its
+	// chunk workers', so the state holding warm chunk buffers merges the
+	// next query too. The list keeps its peak size for the Index's lifetime.
+	freeMu     sync.Mutex
+	freeStates []*queryState
 
 	// walkEdges/recipIn are the packed out-adjacency (head node + head
 	// in-degree per edge) and the reciprocal-in-degree table shared by every

@@ -118,13 +118,14 @@ type QueryOptions struct {
 	// value before reaching core.
 	Parallelism int
 	// Adaptive enables variance-based early termination of the Monte Carlo
-	// phase: rounds execute progressively, and after each fully-merged round
-	// an empirical-Bernstein confidence bound over the running per-node
+	// phase: rounds execute in windows between stop checks (at MinRounds,
+	// then every round up to 16 and every 4th after), and at each check an
+	// empirical-Bernstein confidence bound over the running per-node
 	// estimates (plus the hub-mass share feeding the index-read pass) is
 	// checked against the effective epsilon; the query stops as soon as the
 	// bound clears, with a floor of MinRounds and a hard ceiling at the
 	// paper's worst-case budget f_r. False (the default) runs the full fixed
-	// budget, bit-identical to the historical path.
+	// budget as one window, with no checks.
 	//
 	// Determinism is preserved: the stop decision is taken at round
 	// boundaries from fully-merged state, which depends only on (seed,

@@ -42,9 +42,10 @@ func chunksPerRound(dr int) int {
 // QueryChunks reports how many walk-phase work chunks QueryIntoOpts splits a
 // query with the given per-request options into — the upper bound on useful
 // intra-query parallelism. The engine caps a request's worker fan-out at this
-// value so surplus workers are never reserved just to idle. Adaptive queries
-// execute (and can parallelize across) one round's chunks at a time, so their
-// useful fan-out is the per-round chunk count, not the full budget.
+// value so surplus workers are never reserved just to idle. An adaptive
+// query runs its chunks in windows between stop checks, each at least one
+// round long, so its fan-out is capped at one round's chunk count: no window
+// leaves a borrowed worker without a chunk.
 func (idx *Index) QueryChunks(q QueryOptions) int {
 	opts, _ := idx.opts.effective(q)
 	dr := opts.samplesPerRound()
@@ -58,8 +59,8 @@ func (idx *Index) QueryChunks(q QueryOptions) int {
 // the round's backward-walk accumulator as sparse (node, value) lists, its
 // η·π observations as flat (level, rank, value) triples — levels ascending,
 // ranks in chunk-local first-touch order — and its integer work counters.
-// Results are pooled on the Index so steady-state parallel queries allocate
-// nothing for them.
+// The merging query's state owns one per global chunk number and reuses the
+// buffers across queries, so steady-state queries allocate nothing for them.
 type chunkResult struct {
 	nodes []int32
 	vals  []float64
@@ -77,35 +78,38 @@ func (cr *chunkResult) reset() {
 	cr.walks, cr.hubHits, cr.nonHubHits, cr.bwCost = 0, 0, 0, 0
 }
 
-func (idx *Index) getChunk() *chunkResult {
-	if cr, ok := idx.chunkPool.Get().(*chunkResult); ok {
-		cr.reset()
-		return cr
-	}
-	return &chunkResult{}
+// walkPhase is one query's chunk decomposition: global chunk j is chunk
+// j%cpr of round j/cpr, runs on the (qseed, j) stream, and writes crs[j].
+type walkPhase struct {
+	u, dr, cpr, maxLevels int
+	qseed                 uint64
+	etaInc, bwInvDiv      float64
+	crs                   []chunkResult
 }
 
-func (idx *Index) putChunk(cr *chunkResult) { idx.chunkPool.Put(cr) }
-
-// runChunk executes one walk chunk from source u on this state's kernels: cs
-// √c-walk samples under the chunk's private RNG stream, the batched pair
+// runChunk executes global chunk j of ph on this state's kernels: the
+// chunk's √c-walk samples under its private RNG stream, the batched pair
 // meets, hub η·π accumulation and non-hub Variance Bounded Backward Walks.
-// The state's dense accumulators serve as scratch and are compacted into cr,
-// restoring the all-zero invariant — one state can therefore run any number
-// of chunks back to back, and the serial path runs every chunk on the
-// query's own state.
-func (s *queryState) runChunk(u, cs int, seed uint64, etaInc, bwInvDiv float64, maxLevels int, cr *chunkResult) {
-	s.rng.Reseed(seed)
+// The state's dense accumulators serve as scratch and are compacted into
+// ph.crs[j], restoring the all-zero invariant — one state can therefore run
+// any number of chunks back to back, and the query's own state runs chunks
+// between merges.
+func (s *queryState) runChunk(ph *walkPhase, j int) {
+	cr := &ph.crs[j]
+	cr.reset()
+	s.rng.Reseed(chunkSeed(ph.qseed, j))
 	s.walker.Reset(s.rng.Uint64())
 	s.bw.reset(s.rng.Uint64())
 	bw0 := s.bw.Cost()
 
-	s.walkBuf = s.walker.SampleN(u, cs, s.walkBuf)
+	// The last chunk of a round carries the remainder.
+	cs := min(ph.dr-(j%ph.cpr)*walkChunkSize, walkChunkSize)
+	s.walkBuf = s.walker.SampleN(ph.u, cs, s.walkBuf)
 	cr.walks += cs
 	cands := s.candWalks[:0]
 	nodes := s.candNodes[:0]
 	for _, rs := range s.walkBuf {
-		if !rs.Terminated || rs.Steps >= maxLevels {
+		if !rs.Terminated || rs.Steps >= ph.maxLevels {
 			continue
 		}
 		cands = append(cands, rs)
@@ -114,19 +118,19 @@ func (s *queryState) runChunk(u, cs int, seed uint64, etaInc, bwInvDiv float64, 
 	s.candWalks, s.candNodes = cands, nodes
 	cr.walks += 2 * len(cands)
 	s.metBuf = s.walker.PairMeetsFromN(nodes, s.metBuf)
-	for j, rs := range cands {
-		if s.metBuf[j] {
+	for k, rs := range cands {
+		if s.metBuf[k] {
 			continue
 		}
 		w, level := rs.Node, rs.Steps
 		if rank := s.idx.hubRank[w]; rank >= 0 {
-			s.addEtaPi(level, rank, etaInc)
+			s.addEtaPi(level, rank, ph.etaInc)
 			cr.hubHits++
 			continue
 		}
 		cr.nonHubHits++
 		touched, values := s.bw.varianceBoundedInto(w, level)
-		s.accumulate(touched, values, bwInvDiv)
+		s.accumulate(touched, values, ph.bwInvDiv)
 	}
 	cr.bwCost += s.bw.Cost() - bw0
 
@@ -139,8 +143,9 @@ func (s *queryState) runChunk(u, cs int, seed uint64, etaInc, bwInvDiv float64, 
 	s.roundTouched = s.roundTouched[:0]
 
 	// Compact the per-level η·π accumulators: levels ascending, ranks in
-	// chunk-local first-touch order (the merge re-establishes the canonical
-	// global order by folding chunks in ascending chunk order).
+	// chunk-local first-touch order (the fold after the walk loop
+	// re-establishes the canonical global order by visiting chunks in
+	// ascending chunk order).
 	for l, touched := range s.etaTouched {
 		vals := s.etaVals[l]
 		for _, rank := range touched {
@@ -151,148 +156,162 @@ func (s *queryState) runChunk(u, cs int, seed uint64, etaInc, bwInvDiv float64, 
 		}
 		s.etaTouched[l] = touched[:0]
 	}
+	s.idx.chunksExecuted.Add(1)
 }
 
-// runWalkPhase runs the chunked Monte Carlo phase of one query from u — every
-// (round, chunk) work item — on up to p workers, then merges the chunk
-// results into s in canonical ascending (round, chunk) order, compacts each
-// round, and applies the median/majority gate. On success s holds the η·π
-// accumulators and the median-folded dense scores; on cancellation s is left
-// with its all-zero invariants intact and stats/results untouched.
+// runWalkPhase runs Algorithm 4's Monte Carlo phase from u: f_r rounds of d_r
+// √c-walks split into fixed-size chunks, then the median over rounds. Rounds
+// execute in windows: a window's chunks run together on up to p workers and
+// then merge into s round by round, in canonical ascending (round, chunk)
+// order. A fixed-budget query is one window spanning its whole budget; an
+// adaptive query's windows end where its stop rule is evaluated (windowEnd),
+// so early stopping is only an early exit from this loop. The η·π
+// observations are folded from the chunk results once the loop ends, in the
+// same order, so s's hub accumulators stay empty while chunks run and s
+// executes chunks itself. On success s holds the η·π accumulators and the
+// median-folded dense scores; on cancellation it returns the context's error
+// and s keeps its all-zero invariants.
 //
 // Determinism: chunk boundaries and seeds depend only on the effective
-// options, the source, and the graph size; each chunk consumes an
-// independent stream into private accumulators; and the merge is a
-// sequential left-fold in a fixed order. Serial (p ≤ 1) execution runs the
-// exact same decomposition on one state, so results are bit-identical at
-// every parallelism level.
-func (idx *Index) runWalkPhase(ctx context.Context, s *queryState, u int, opts Options, stats *QueryStats, p int, ad adaptiveParams) error {
+// options, the source and the graph size; each chunk consumes an independent
+// stream into its own result slot; the merge is a sequential left-fold in a
+// fixed order; and the window schedule and stop decisions are functions of
+// the round number and merged state alone. Results are therefore
+// bit-identical at every parallelism level, and an adaptive query that runs
+// its full budget reproduces the fixed query's bits.
+func (idx *Index) runWalkPhase(ctx context.Context, s *queryState, u int, opts Options, q QueryOptions, p int, stats *QueryStats) error {
 	dr := opts.samplesPerRound()
 	fr := opts.rounds(idx.g.N())
-	nr := dr * fr
-	alpha := opts.alpha()
-	etaInc := 1 / float64(nr)
-	bwInvDiv := 1 / (alpha * alpha * float64(dr))
 	cpr := chunksPerRound(dr)
-	if ad.enabled {
-		return idx.runWalkPhaseAdaptive(ctx, s, u, opts, stats, p, ad, dr, fr, cpr, etaInc, bwInvDiv)
+	alpha := opts.alpha()
+	s.phase = walkPhase{
+		u: u, dr: dr, cpr: cpr, maxLevels: opts.MaxLevels,
+		qseed:    querySeed(opts.Seed, u),
+		etaInc:   1 / float64(dr*fr),
+		bwInvDiv: 1 / (alpha * alpha * float64(dr)),
+		crs:      s.growChunks(fr * cpr),
 	}
-	nchunks := fr * cpr
-	if p > nchunks {
-		p = nchunks
+	ph := &s.phase
+	// A fixed query's stop floor is its whole budget: one window, no checks.
+	minR := fr
+	if q.Adaptive {
+		minR = min(max(q.MinRounds, defaultMinRounds), fr)
 	}
-	if p < 1 {
-		p = 1
-	}
-	qseed := querySeed(opts.Seed, u)
+	s.resetScratch()
+	s.resetHubMass()
 
-	if cap(s.chunkRes) < nchunks {
-		s.chunkRes = make([]*chunkResult, nchunks)
-	}
-	crs := s.chunkRes[:nchunks]
-	// chunkLen is the sample count of global chunk j (the last chunk of a
-	// round carries the remainder).
-	chunkLen := func(j int) int {
-		k := j % cpr
-		if cs := dr - k*walkChunkSize; cs < walkChunkSize {
-			return cs
-		}
-		return walkChunkSize
-	}
-
-	if p == 1 {
-		for j := 0; j < nchunks; j++ {
-			if err := ctx.Err(); err != nil {
-				idx.chunksExecuted.Add(int64(idx.releaseChunks(crs[:j])))
-				return err
-			}
-			cr := idx.getChunk()
-			s.runChunk(u, chunkLen(j), chunkSeed(qseed, j), etaInc, bwInvDiv, opts.MaxLevels, cr)
-			crs[j] = cr
-		}
-	} else {
-		var (
-			next    atomic.Int64
-			aborted atomic.Bool
-			wg      sync.WaitGroup
-		)
-		next.Store(-1)
-		run := func(ws *queryState) {
-			for {
-				if aborted.Load() {
-					return
-				}
-				j := int(next.Add(1))
-				if j >= nchunks {
-					return
-				}
-				if ctx.Err() != nil {
-					aborted.Store(true)
-					return
-				}
-				cr := idx.getChunk()
-				ws.runChunk(u, chunkLen(j), chunkSeed(qseed, j), etaInc, bwInvDiv, opts.MaxLevels, cr)
-				crs[j] = cr
-			}
-		}
-		for w := 1; w < p; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws := idx.getState()
-				ws.resetScratch()
-				run(ws)
-				idx.putState(ws)
-			}()
-		}
-		run(s)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			// A claimed chunk either ran to completion (crs entry set) or was
-			// abandoned before execution, so the released count is exactly the
-			// work this cancelled phase performed and discarded.
-			idx.chunksExecuted.Add(int64(idx.releaseChunks(crs)))
+	R, streak, workers := 0, 0, 1
+	for R < fr {
+		end := windowEnd(R, minR, fr)
+		w, err := idx.runWindow(ctx, s, ph, R*cpr, end*cpr, p)
+		if err != nil {
 			return err
 		}
+		workers = max(workers, w)
+		for i := R; i < end; i++ {
+			hub0 := stats.HubHits
+			s.mergeRound(ph.crs[i*cpr:(i+1)*cpr], i, stats)
+			s.foldHubMass(float64(stats.HubHits-hub0) / float64(dr))
+		}
+		if R = end; R == fr {
+			break
+		}
+		if !s.adaptiveConverged(R, opts) {
+			streak = 0
+		} else if streak++; streak >= adaptiveConfirmRounds {
+			break
+		}
 	}
-	idx.chunksExecuted.Add(int64(nchunks))
 
-	stats.Chunks += nchunks
-	stats.Parallelism = p
-	stats.RoundsExecuted, stats.RoundsBudget = fr, fr
-
-	// Canonical merge: rounds ascending, chunks ascending within a round —
-	// a sequential left-fold, so the grouping of floating-point additions is
-	// independent of how the chunks were scheduled.
-	for i := 0; i < fr; i++ {
-		idx.mergeRound(s, crs[i*cpr:(i+1)*cpr], i, stats)
+	for j := range R * cpr {
+		cr := &ph.crs[j]
+		for t := range cr.etaLev {
+			s.addEtaPi(int(cr.etaLev[t]), int(cr.etaRank[t]), cr.etaVal[t])
+		}
 	}
-
-	idx.chunksMerged.Add(int64(nchunks))
-
+	idx.chunksMerged.Add(int64(R * cpr))
+	stats.Chunks += R * cpr
+	stats.Parallelism = workers
+	stats.RoundsExecuted, stats.RoundsBudget = R, fr
+	stats.EarlyStopped = R < fr
+	if R < fr {
+		// η̂π accumulated at weight 1/(d_r·f_r); with only R rounds merged the
+		// unbiased mean over the executed samples is the accumulated value
+		// rescaled by f_r/R. Skipped at the full budget, so a never-stopping
+		// adaptive query keeps the fixed query's exact bits.
+		s.rescaleEta(float64(fr) / float64(R))
+	}
 	// sB(u, v): median over rounds (missing rounds count as zero), folded
 	// into the dense final-score accumulator.
-	s.medianScores(fr)
+	s.medianScores(R)
 	return nil
 }
 
-// mergeRound folds one round's chunk results into s in the canonical order —
+// runWindow executes chunks [lo, hi) of ph on up to p workers — s itself
+// plus states borrowed for the window — and reports how many workers ran
+// them. A serial window is a plain loop on s. Workers claim chunks through
+// an atomic counter and check ctx before each one; a claimed chunk always
+// runs to completion, so a cancelled window leaves every state's
+// accumulators clean.
+func (idx *Index) runWindow(ctx context.Context, s *queryState, ph *walkPhase, lo, hi, p int) (int, error) {
+	if p = min(p, hi-lo); p <= 1 {
+		for j := lo; j < hi; j++ {
+			if err := ctx.Err(); err != nil {
+				return 1, err
+			}
+			s.runChunk(ph, j)
+		}
+		return 1, nil
+	}
+	var (
+		next    atomic.Int64
+		aborted atomic.Bool
+		wg      sync.WaitGroup
+	)
+	next.Store(int64(lo) - 1)
+	run := func(ws *queryState) {
+		for !aborted.Load() {
+			j := int(next.Add(1))
+			if j >= hi {
+				return
+			}
+			if ctx.Err() != nil {
+				aborted.Store(true)
+				return
+			}
+			ws.runChunk(ph, j)
+		}
+	}
+	for range p - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := idx.getState()
+			ws.resetScratch()
+			run(ws)
+			idx.putState(ws)
+		}()
+	}
+	run(s)
+	wg.Wait()
+	return p, ctx.Err()
+}
+
+// mergeRound folds round i's chunk results into s in the canonical order —
 // chunks ascending, a sequential left-fold — compacts the round into its
-// sparse per-round lists, and retires the chunks to the pool. Both the fixed
-// and the adaptive walk phases merge every round through this exact sequence,
-// so an adaptive query that runs its full budget reproduces the fixed path's
-// bits.
-func (idx *Index) mergeRound(s *queryState, chunks []*chunkResult, i int, stats *QueryStats) {
+// sparse per-round lists, and adds the chunks' work counters to stats.
+func (s *queryState) mergeRound(chunks []chunkResult, i int, stats *QueryStats) {
 	if len(chunks) == 1 {
-		// Single-chunk rounds adopt the compacted lists wholesale (folding
-		// into an empty accumulator would reproduce the same bits); the
-		// swap keeps both slices pooled.
-		cr := chunks[0]
+		// A single-chunk round adopts the chunk's lists wholesale (folding
+		// into an empty accumulator would reproduce the same bits); the swap
+		// hands the old round buffers to the chunk slot, so s keeps both.
+		cr := &chunks[0]
 		s.growRounds(i)
 		s.roundNodes[i], cr.nodes = cr.nodes, s.roundNodes[i][:0]
 		s.roundVals[i], cr.vals = cr.vals, s.roundVals[i][:0]
 	} else {
-		for _, cr := range chunks {
+		for k := range chunks {
+			cr := &chunks[k]
 			for t, v32 := range cr.nodes {
 				v := int(v32)
 				if s.roundAcc[v] == 0 {
@@ -303,29 +322,11 @@ func (idx *Index) mergeRound(s *queryState, chunks []*chunkResult, i int, stats 
 		}
 		s.finishRound(i)
 	}
-	for k, cr := range chunks {
-		for t := range cr.etaLev {
-			s.addEtaPi(int(cr.etaLev[t]), int(cr.etaRank[t]), cr.etaVal[t])
-		}
+	for k := range chunks {
+		cr := &chunks[k]
 		stats.Walks += cr.walks
 		stats.HubHits += cr.hubHits
 		stats.NonHubHits += cr.nonHubHits
 		stats.BackwardWalkCost += cr.bwCost
-		idx.putChunk(cr)
-		chunks[k] = nil
 	}
-}
-
-// releaseChunks returns the chunk results a cancelled walk phase produced,
-// reporting how many chunks had actually executed.
-func (idx *Index) releaseChunks(crs []*chunkResult) int {
-	ran := 0
-	for i, cr := range crs {
-		if cr != nil {
-			idx.putChunk(cr)
-			crs[i] = nil
-			ran++
-		}
-	}
-	return ran
 }

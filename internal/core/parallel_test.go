@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 )
 
@@ -175,15 +176,16 @@ func TestQueryBatchWavesMatchSolo(t *testing.T) {
 }
 
 // countdownCtx is a context whose Err flips to context.Canceled after a fixed
-// number of Err calls — a deterministic mid-phase cancellation.
+// number of Err calls — a deterministic mid-phase cancellation. The counter
+// is atomic because parallel chunk workers call Err concurrently.
 type countdownCtx struct {
 	context.Context
-	calls, limit int
+	calls atomic.Int64
+	limit int64
 }
 
 func (c *countdownCtx) Err() error {
-	c.calls++
-	if c.calls > c.limit {
+	if c.calls.Add(1) > c.limit {
 		return context.Canceled
 	}
 	return nil
@@ -191,36 +193,50 @@ func (c *countdownCtx) Err() error {
 
 // TestWalkChunkCounters pins the lost-work signal: executed counts every
 // chunk run — including chunks a cancelled query discarded before the merge —
-// while merged counts only folded chunks, so cancellation opens a gap.
+// while merged counts only the chunks of completed walk phases, so
+// cancellation opens a gap. The adaptive input is cancelled after its first
+// round has run, which must not count as merged either.
 func TestWalkChunkCounters(t *testing.T) {
-	idx := parallelTestIndex(t)
-	ex0, me0 := idx.WalkChunkCounters()
-	if ex0 != 0 || me0 != 0 {
-		t.Fatalf("fresh index counters = (%d, %d), want (0, 0)", ex0, me0)
-	}
+	for _, tc := range []struct {
+		name string
+		q    QueryOptions
+	}{
+		{"fixed", QueryOptions{}},
+		{"adaptive", QueryOptions{Adaptive: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			idx := parallelTestIndex(t)
+			ex0, me0 := idx.WalkChunkCounters()
+			if ex0 != 0 || me0 != 0 {
+				t.Fatalf("fresh index counters = (%d, %d), want (0, 0)", ex0, me0)
+			}
 
-	var res Result
-	if err := idx.QueryIntoOpts(context.Background(), 4, &res, QueryOptions{}); err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	ex, me := idx.WalkChunkCounters()
-	if want := int64(res.Stats.Chunks); ex != want || me != want {
-		t.Fatalf("after solo query counters = (%d, %d), want (%d, %d)", ex, me, want, want)
-	}
+			var res Result
+			if err := idx.QueryIntoOpts(context.Background(), 4, &res, tc.q); err != nil {
+				t.Fatalf("query: %v", err)
+			}
+			ex, me := idx.WalkChunkCounters()
+			if want := int64(res.Stats.Chunks); ex != want || me != want {
+				t.Fatalf("after solo query counters = (%d, %d), want (%d, %d)", ex, me, want, want)
+			}
 
-	// Cancel after three chunk boundary checks: exactly the chunks that ran
-	// before the cancellation count as executed, none as merged.
-	ctx := &countdownCtx{Context: context.Background(), limit: 3}
-	var dropped Result
-	if err := idx.QueryIntoOpts(ctx, 4, &dropped, QueryOptions{}); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	ex2, me2 := idx.WalkChunkCounters()
-	if ex2 <= ex {
-		t.Fatalf("cancelled query executed no chunks (executed %d -> %d)", ex, ex2)
-	}
-	if me2 != me {
-		t.Fatalf("cancelled query merged chunks (merged %d -> %d)", me, me2)
+			// A serial query checks ctx before every chunk. Cancel on the
+			// check after one round plus one chunk: exactly those chunks
+			// count as executed, none as merged.
+			ran := int64(idx.QueryChunks(QueryOptions{Adaptive: true}) + 1)
+			ctx := &countdownCtx{Context: context.Background(), limit: ran}
+			var dropped Result
+			if err := idx.QueryIntoOpts(ctx, 4, &dropped, tc.q); err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			ex2, me2 := idx.WalkChunkCounters()
+			if ex2-ex != ran {
+				t.Fatalf("cancelled query executed %d chunks, want %d", ex2-ex, ran)
+			}
+			if me2 != me {
+				t.Fatalf("cancelled query merged chunks (merged %d -> %d)", me, me2)
+			}
+		})
 	}
 }
 
@@ -242,27 +258,70 @@ func TestQueryBatchFusedValidation(t *testing.T) {
 	}
 }
 
-// TestQueryParallelCancellation checks a cancelled parallel query reports the
-// context error, touches nothing, and leaves pooled state reusable.
+// TestQueryParallelCancellation checks a cancelled query reports the context
+// error, touches nothing, and leaves every state it used reusable.
 func TestQueryParallelCancellation(t *testing.T) {
-	idx := parallelTestIndex(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res := Result{Scores: map[int]float64{7: 0.5}}
-	if err := idx.QueryIntoOpts(ctx, 0, &res, QueryOptions{Parallelism: 4}); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	t.Run("before start", func(t *testing.T) {
+		idx := parallelTestIndex(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		res := Result{Scores: map[int]float64{7: 0.5}}
+		if err := idx.QueryIntoOpts(ctx, 0, &res, QueryOptions{Parallelism: 4}); err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if res.Scores[7] != 0.5 {
+			t.Fatal("cancelled query mutated the caller's result")
+		}
+		// The free list must hand back clean states: a follow-up query
+		// still matches the serial baseline.
+		var a, b Result
+		if err := idx.QueryIntoOpts(context.Background(), 0, &a, QueryOptions{}); err != nil {
+			t.Fatalf("follow-up: %v", err)
+		}
+		if err := idx.QueryIntoOpts(context.Background(), 0, &b, QueryOptions{Parallelism: 4}); err != nil {
+			t.Fatalf("follow-up parallel: %v", err)
+		}
+		identicalScores(t, &a, &b, "post-cancel")
+	})
+
+	// An adaptive query cancelled after its first window (MinRounds = 2
+	// rounds) merged and one chunk of the second ran: its states hold merged
+	// rounds and used chunk slots, and the next query on them must still be
+	// bit-identical to the same query on a fresh index.
+	fresh := parallelTestIndex(t)
+	for _, p := range []int{1, 4} {
+		t.Run(fmt.Sprintf("adaptive mid-phase p=%d", p), func(t *testing.T) {
+			idx := parallelTestIndex(t)
+			q := QueryOptions{Adaptive: true, Parallelism: p}
+			// A window checks ctx before every chunk, and a parallel window
+			// once more after its workers join.
+			ran := int64(2*idx.QueryChunks(q) + 1)
+			limit := ran
+			if p > 1 {
+				limit++
+			}
+			ctx := &countdownCtx{Context: context.Background(), limit: limit}
+			res := Result{Scores: map[int]float64{7: 0.5}}
+			if err := idx.QueryIntoOpts(ctx, 7, &res, q); err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if res.Scores[7] != 0.5 {
+				t.Fatal("cancelled query mutated the caller's result")
+			}
+			if ex, me := idx.WalkChunkCounters(); ex != ran || me != 0 {
+				t.Fatalf("cancelled query counters = (%d, %d), want (%d, 0)", ex, me, ran)
+			}
+			var got, want Result
+			if err := idx.QueryIntoOpts(context.Background(), 7, &got, q); err != nil {
+				t.Fatalf("follow-up: %v", err)
+			}
+			if err := fresh.QueryIntoOpts(context.Background(), 7, &want, q); err != nil {
+				t.Fatalf("fresh index: %v", err)
+			}
+			identicalScores(t, &want, &got, "post-cancel adaptive")
+			if got.Stats.RoundsExecuted != want.Stats.RoundsExecuted {
+				t.Fatalf("follow-up ran %d rounds, fresh index ran %d", got.Stats.RoundsExecuted, want.Stats.RoundsExecuted)
+			}
+		})
 	}
-	if res.Scores[7] != 0.5 {
-		t.Fatal("cancelled query mutated the caller's result")
-	}
-	// The pool must hand back clean states: a follow-up query still matches
-	// the serial baseline.
-	var a, b Result
-	if err := idx.QueryIntoOpts(context.Background(), 0, &a, QueryOptions{}); err != nil {
-		t.Fatalf("follow-up: %v", err)
-	}
-	if err := idx.QueryIntoOpts(context.Background(), 0, &b, QueryOptions{Parallelism: 4}); err != nil {
-		t.Fatalf("follow-up parallel: %v", err)
-	}
-	identicalScores(t, &a, &b, "post-cancel")
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -181,11 +180,11 @@ func (idx *Index) Query(u int) (*Result, error) {
 	return idx.QueryCtx(context.Background(), u)
 }
 
-// QueryCtx is Query with cancellation: the context is checked at every
-// median-trick round boundary, so a cancelled or expired context aborts the
-// query within one round's worth of work. Cancellation never consumes random
-// values, so a query that does complete is bit-identical whether or not a
-// deadline was attached.
+// QueryCtx is Query with cancellation: the context is checked before every
+// walk chunk, so a cancelled or expired context aborts the query within one
+// chunk's worth of work. Cancellation never consumes random values, so a
+// query that does complete is bit-identical whether or not a deadline was
+// attached.
 func (idx *Index) QueryCtx(ctx context.Context, u int) (*Result, error) {
 	res := &Result{}
 	if err := idx.QueryIntoCtx(ctx, u, res); err != nil {
@@ -231,9 +230,12 @@ func (idx *Index) QueryIntoCtx(ctx context.Context, u int, res *Result) error {
 // QueryIntoOpts is the full query implementation behind Query, QueryCtx,
 // QueryInto and QueryOpts — the single entry point the whole request plane
 // funnels into. All scratch state — walkers, dense accumulators, the median
-// workspace — comes from a per-index sync.Pool, so steady-state queries only
-// allocate the returned score map entries (and nothing at all when reusing a
-// result whose map has already grown to the support size).
+// workspace, chunk results — comes from a per-index free list of query
+// states, so steady-state queries only allocate the returned score map
+// entries (and nothing at all when reusing a result whose map has already
+// grown to the support size). The query is Algorithm 4 run once: the walk
+// phase (runWalkPhase, with adaptive stopping as an early exit from its
+// loop), then the index-read pass over a one-source wave (readIndexFused).
 //
 // The per-request options resize the query's budgets without touching the
 // index: the effective epsilon (build epsilon, or a larger requested one)
@@ -269,43 +271,14 @@ func (idx *Index) QueryIntoOpts(ctx context.Context, u int, res *Result, q Query
 
 	s := idx.getState()
 	defer idx.putState(s)
-	s.beginQuery(u)
 
-	stats := QueryStats{Epsilon: opts.Epsilon}
-	if err := idx.runWalkPhase(ctx, s, u, opts, &stats, q.Parallelism, q.adaptiveParams()); err != nil {
+	stats := [1]QueryStats{{Epsilon: opts.Epsilon}}
+	if err := idx.runWalkPhase(ctx, s, u, opts, q, q.Parallelism, &stats[0]); err != nil {
 		return err
 	}
-	idx.readIndexInto(s, opts, &stats)
-	s.finalize(u, res, &stats, start)
+	idx.readIndexFused([]*queryState{s}, []Options{opts}, stats[:])
+	s.finalize(u, res, &stats[0], start)
 	return nil
-}
-
-// readIndexInto runs sI(u, v), the index-read pass: for every hub w and level
-// ℓ with η̂π_ℓ(u,w) > ε/c1, fold the stored reserves L_ℓ(w) into the state's
-// final-score accumulator. The canonical visit order — levels ascending, hub
-// ranks ascending within a level — fixes the floating-point accumulation
-// order independently of sampling history, streams the entry slab in layout
-// order, and is shared verbatim by the fused batch pass, so fused and solo
-// queries produce identical bits.
-func (idx *Index) readIndexInto(s *queryState, opts Options, stats *QueryStats) {
-	threshold := opts.Epsilon / opts.c1()
-	alpha := opts.alpha()
-	invAlphaSq := 1 / (alpha * alpha)
-	for level, touched := range s.etaTouched {
-		slices.Sort(touched)
-		vals := s.etaVals[level]
-		for _, rank := range touched {
-			ep := vals[rank]
-			if ep <= threshold {
-				continue
-			}
-			entries := idx.hubEntriesByRank(int(rank), level)
-			for _, e := range entries {
-				s.scoreInto(int(e.Node), ep*e.Reserve*invAlphaSq)
-			}
-			stats.IndexEntriesRead += len(entries)
-		}
-	}
 }
 
 // finalize publishes the state's dense final scores into res. Every fallible

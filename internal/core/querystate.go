@@ -9,9 +9,10 @@ import (
 // queryState bundles every scratch buffer a single-source query needs — the
 // √c-walker with its batch buffer, the backward walker with its dense
 // frontiers, the per-round and per-level accumulators, the median workspace,
-// and the dense final-score accumulator — so that a worker can run many
-// queries with zero steady-state allocation. States are pooled on the Index
-// via sync.Pool and sized to the graph on first use.
+// the dense final-score accumulator, and the chunk results of the query it
+// merges — so that a worker can run many queries with zero steady-state
+// allocation. Idle states wait on the Index's free list (getState/putState)
+// and are sized to the graph on creation.
 type queryState struct {
 	idx *Index
 
@@ -49,9 +50,9 @@ type queryState struct {
 	roundNodes [][]int32
 	roundVals  [][]float64
 
-	// Median workspace: uid assigns each node in the union of round supports a
-	// compact id (valid when uidGen[v] == gen); valsMat is the |union|×fr
-	// matrix of per-round values, zeroed on release.
+	// Median workspace (see unionRounds): uid assigns each node in the union
+	// of round supports a compact id (valid when uidGen[v] == gen); valsMat
+	// is the |union|×R matrix of per-round values, zeroed on release.
 	uid        []int32
 	uidGen     []uint32
 	gen        uint32
@@ -65,10 +66,14 @@ type queryState struct {
 	scoreAcc     []float64
 	scoreTouched []int
 
-	// chunkRes parks the per-chunk walk-phase outputs between execution and
-	// the canonical merge; entries come from (and return to) the index's
-	// chunk pool, this slice only holds the pointers.
-	chunkRes []*chunkResult
+	// phase is the chunk decomposition of the query this state merges, and
+	// chunks its result slots, indexed by global chunk number: each holds a
+	// chunk's output from execution until the merge (the η·π triples until
+	// the walk loop ends). Chunk workers read the merging state's phase and
+	// write its slots, so only merging states grow them, and a query's phase
+	// costs no allocation of its own.
+	phase  walkPhase
+	chunks []chunkResult
 
 	// Adaptive early-termination accumulators (see adaptive.go): the scalar
 	// running sum / sum-of-squares / min / max over the merged rounds'
@@ -111,34 +116,42 @@ func newQueryState(idx *Index) *queryState {
 	}
 }
 
-// getState fetches a pooled query state, creating one sized to the graph when
-// the pool is empty.
+// getState pops the most recently freed query state, creating one sized to
+// the graph when the free list is empty.
 func (idx *Index) getState() *queryState {
-	if s, ok := idx.statePool.Get().(*queryState); ok {
-		return s
+	idx.freeMu.Lock()
+	n := len(idx.freeStates)
+	if n == 0 {
+		idx.freeMu.Unlock()
+		return newQueryState(idx)
 	}
-	return newQueryState(idx)
+	s := idx.freeStates[n-1]
+	idx.freeStates = idx.freeStates[:n-1]
+	idx.freeMu.Unlock()
+	return s
 }
 
-func (idx *Index) putState(s *queryState) { idx.statePool.Put(s) }
+// putState pushes s onto the free list.
+func (idx *Index) putState(s *queryState) {
+	idx.freeMu.Lock()
+	idx.freeStates = append(idx.freeStates, s)
+	idx.freeMu.Unlock()
+}
 
-// beginQuery re-seeds the walkers exactly as the historical per-query
-// construction did: a fresh RNG from the per-source seed, the walker from its
-// first value, and the backward walker from a split (the second value). It
-// also restores the all-zero invariant on every dense accumulator a cancelled
-// query may have left partially filled.
-func (s *queryState) beginQuery(u int) {
-	opts := s.idx.opts
-	s.rng.Reseed(querySeed(opts.Seed, u))
-	s.walker.Reset(s.rng.Uint64())
-	s.bw.reset(s.rng.Uint64())
-	s.resetScratch()
+// growChunks returns the state's first n chunk-result slots, growing the
+// slot array (and keeping every existing buffer) as needed.
+func (s *queryState) growChunks(n int) []chunkResult {
+	for len(s.chunks) < n {
+		s.chunks = append(s.chunks, chunkResult{})
+	}
+	return s.chunks[:n]
 }
 
 // resetScratch restores the all-zero invariant on every dense accumulator a
-// cancelled query may have left partially filled. Walk-chunk workers call it
-// when borrowing a pooled state without re-seeding (every chunk seeds the
-// kernels itself).
+// previous query left filled — the η·π accumulators a completed query keeps
+// until its state is reused, or whatever a cancelled batch left behind.
+// Every walk phase calls it on its merging state and its borrowed workers
+// (each chunk seeds the kernels itself, so nothing needs re-seeding).
 func (s *queryState) resetScratch() {
 	for l, touched := range s.etaTouched {
 		vals := s.etaVals[l]
@@ -220,25 +233,21 @@ func (s *queryState) finishRound(i int) {
 	s.roundTouched = s.roundTouched[:0]
 }
 
-// medianScores computes, for every node touched by any of the first fr rounds,
-// the median of its per-round estimates (missing rounds count as zero) and
-// folds the non-zero medians into the dense final-score accumulator.
-func (s *queryState) medianScores(fr int) {
-	if fr <= 0 {
-		return
-	}
-	// Assign compact ids to the union of round supports.
+// unionRounds assigns compact ids to the union of the first R merged rounds'
+// supports — uid[v], valid while uidGen[v] == gen, in first-touch order —
+// counts each union node's rounds in cnt, and returns the all-zero
+// |union|×R matrix workspace for the per-round values. The median pass and
+// the adaptive stop rule share it.
+func (s *queryState) unionRounds(R int) []float64 {
 	s.gen++
 	if s.gen == 0 { // generation counter wrapped; invalidate all stale marks
-		for i := range s.uidGen {
-			s.uidGen[i] = 0
-		}
+		clear(s.uidGen)
 		s.gen = 1
 	}
 	s.unionNodes = s.unionNodes[:0]
 	s.cnt = s.cnt[:0]
-	for i := 0; i < fr && i < len(s.roundNodes); i++ {
-		for _, v32 := range s.roundNodes[i] {
+	for _, nodes := range s.roundNodes[:R] {
+		for _, v32 := range nodes {
 			v := int(v32)
 			if s.uidGen[v] != s.gen {
 				s.uidGen[v] = s.gen
@@ -249,22 +258,26 @@ func (s *queryState) medianScores(fr int) {
 			s.cnt[s.uid[v]]++
 		}
 	}
-	if len(s.unionNodes) == 0 {
-		return
+	need := len(s.unionNodes) * R
+	if cap(s.valsMat) < need {
+		s.valsMat = make([]float64, need)
 	}
+	return s.valsMat[:need]
+}
+
+// medianScores computes, for every node touched by any of the first fr rounds,
+// the median of its per-round estimates (missing rounds count as zero) and
+// folds the non-zero medians into the dense final-score accumulator.
+func (s *queryState) medianScores(fr int) {
+	mat := s.unionRounds(fr)
 	// The estimates are non-negative and missing rounds count as zero, so a
 	// node's median can only be non-zero when it appears in more than half
 	// the rounds. The sparse majority of the union is decided right here by
 	// its round count; only majority nodes are scattered and selected.
 	minNz := int32(fr - fr/2)
-	need := len(s.unionNodes) * fr
-	if cap(s.valsMat) < need {
-		s.valsMat = make([]float64, need)
-	}
-	mat := s.valsMat[:need]
-	for i := 0; i < fr && i < len(s.roundNodes); i++ {
+	for i, nodes := range s.roundNodes[:fr] {
 		vals := s.roundVals[i]
-		for j, v32 := range s.roundNodes[i] {
+		for j, v32 := range nodes {
 			if ui := s.uid[v32]; s.cnt[ui] >= minNz {
 				mat[int(ui)*fr+i] = vals[j]
 			}
@@ -278,9 +291,7 @@ func (s *queryState) medianScores(fr int) {
 		if m := medianInPlace(row); m != 0 {
 			s.scoreInto(v, m)
 		}
-		for k := range row {
-			row[k] = 0
-		}
+		clear(row)
 	}
 }
 

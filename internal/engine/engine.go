@@ -34,7 +34,7 @@
 //     stays flat in the batch length, and duplicate sources share one Result
 //     and count as coalesced.
 //
-// Every query draws its scratch state from the index's internal sync.Pool, so
+// Every query draws its scratch state from the index's internal free list, so
 // a worker that stays busy performs near-zero per-query allocation. Results
 // are deterministic for a fixed index seed and effective epsilon regardless
 // of worker count or scheduling: each source's random stream is derived from
