@@ -10,8 +10,9 @@ import (
 
 // EngineOptions configures a concurrent query engine.
 type EngineOptions struct {
-	// Workers bounds the number of queries executing concurrently (and the
-	// fan-out of QueryBatch). Zero means GOMAXPROCS.
+	// Workers is the size of the worker pool: it bounds the computations
+	// executing concurrently, counting the idle slots a computation borrows
+	// for its walk phases. Zero means GOMAXPROCS.
 	Workers int
 	// CacheSize is the number of single-source results kept in an LRU cache
 	// keyed by (generation, source, effective epsilon); zero disables
@@ -109,8 +110,9 @@ func (e *Engine) Query(ctx context.Context, u int) (*Result, error) {
 	return resp.Result, nil
 }
 
-// QueryBatch answers one query per source, in order, using up to Workers
-// goroutines. On the first error the remaining queries are cancelled.
+// QueryBatch answers one query per source, in order — a shim over DoBatch
+// with a zero Request, so the cache-missing sources run as one fused
+// computation. The batch fails on its first error.
 func (e *Engine) QueryBatch(ctx context.Context, sources []int) ([]*Result, error) {
 	inner, err := e.eng.QueryBatch(ctx, sources)
 	if err != nil {

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"testing"
-	"time"
 
 	"prsim/internal/core"
 )
@@ -167,8 +166,9 @@ func TestRangeCoalescingPrefersTightest(t *testing.T) {
 
 // TestRangeCoalescingFlightJoin exercises the in-flight half: a loose
 // adaptive request joins a tighter computation already in flight instead of
-// starting its own. The tighter leader is gated through the queryFn seam so
-// the join window is deterministic.
+// starting its own. Every worker slot is held, so the tighter leader waits in
+// the admission queue with its flight registered and the join window is
+// deterministic.
 func TestRangeCoalescingFlightJoin(t *testing.T) {
 	idx := testIndex(t, 300)
 	e, err := New(idx, Options{Workers: 2})
@@ -176,13 +176,7 @@ func TestRangeCoalescingFlightJoin(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	const u = 7
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	e.queryFn = func(ctx context.Context, s *slot, src int) (*core.Result, error) {
-		entered <- struct{}{}
-		<-gate
-		return s.idx.Query(src)
-	}
+	release := holdWorkers(t, e)
 	ctx := context.Background()
 
 	leadDone := make(chan *Response, 1)
@@ -192,7 +186,9 @@ func TestRangeCoalescingFlightJoin(t *testing.T) {
 		leadErr <- err
 		leadDone <- resp
 	}()
-	<-entered // the tight leader is in flight and parked on the gate
+	waitFor(t, "the tight leader to wait for a worker", func() bool {
+		return e.adm.depths()[ClassInteractive] == 1
+	})
 
 	joinResp := make(chan *Response, 1)
 	joinErr := make(chan error, 1)
@@ -202,13 +198,14 @@ func TestRangeCoalescingFlightJoin(t *testing.T) {
 		joinResp <- resp
 	}()
 	// The joiner must register on the tighter flight without triggering a
-	// second computation; queryFn would signal `entered` again if it led.
-	select {
-	case <-entered:
-		t.Fatalf("loose adaptive request started its own computation instead of range-joining")
-	case <-time.After(50 * time.Millisecond):
+	// second computation, which would queue for a worker beside the leader.
+	waitFor(t, "the loose request to join or queue", func() bool {
+		return e.coalesced.Load() == 1 || e.adm.depths()[ClassInteractive] > 1
+	})
+	if d := e.adm.depths(); d[ClassInteractive] != 1 {
+		t.Fatalf("loose adaptive request started its own computation instead of range-joining (queue depths %v)", d)
 	}
-	close(gate)
+	release()
 
 	if err := <-leadErr; err != nil {
 		t.Fatalf("leader Do: %v", err)

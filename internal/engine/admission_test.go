@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"prsim/internal/core"
 )
 
 // TestAdmitterInteractivePriority pins the two-class dispatch order: when a
@@ -235,16 +233,10 @@ func TestEngineBatchFloodDoesNotQueueInteractive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 64)
-	e.queryFn = func(ctx context.Context, s *slot, u int) (*core.Result, error) {
-		entered <- struct{}{}
-		<-gate
-		return s.idx.Query(u)
-	}
+	release := holdWorkers(t, e) // a running computation holds the worker
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	// One running batch request plus a deep batch backlog.
+	// A deep batch backlog.
 	const flood = 8
 	for i := 0; i < flood; i++ {
 		wg.Add(1)
@@ -255,9 +247,8 @@ func TestEngineBatchFloodDoesNotQueueInteractive(t *testing.T) {
 			}
 		}(i)
 	}
-	<-entered // one batch request holds the worker
 	waitFor(t, "batch backlog to build", func() bool {
-		return e.adm.depths()[ClassBatch] == flood-1
+		return e.adm.depths()[ClassBatch] == flood
 	})
 
 	var interactiveDone atomic.Bool
@@ -273,9 +264,12 @@ func TestEngineBatchFloodDoesNotQueueInteractive(t *testing.T) {
 		return e.adm.depths()[ClassInteractive] == 1
 	})
 
-	// Open the gate: the slot freed by each finishing computation goes to the
-	// interactive waiter first, so it must be the next one through.
-	close(gate)
+	// Free the worker: the slot goes to the interactive waiter first, so it
+	// is the next one through, ahead of the whole batch backlog.
+	release()
+	if d := e.adm.depths(); d != [numClasses]int{0, flood} {
+		t.Fatalf("queue depths right after one release = %v, want [0 %d]", d, flood)
+	}
 	waitFor(t, "interactive request to finish ahead of the flood", func() bool {
 		return interactiveDone.Load()
 	})

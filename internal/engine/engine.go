@@ -28,11 +28,12 @@
 //     idle). The borrow never waits, so a heavy query cannot queue chunks
 //     ahead of other requests, and the chunk decomposition is independent of
 //     the worker count, so results stay bit-identical at every level.
-//   - Fused batches: DoBatch runs its cache-missing entries as one core
-//     computation that streams each index level once per bounded wave of
-//     sources — not once per source — into per-source accumulators; memory
-//     stays flat in the batch length, and duplicate sources share one Result
-//     and count as coalesced.
+//   - One request path: Do is a one-entry DoBatchEach. Entries the cache or
+//     an in-flight computation cannot answer run as one core computation
+//     that streams each index level once per bounded wave of sources — not
+//     once per source — into per-source accumulators; memory stays flat in
+//     the batch length, and duplicate sources join the first one's flight,
+//     sharing one Result and counting as coalesced.
 //
 // Every query draws its scratch state from the index's internal free list, so
 // a worker that stays busy performs near-zero per-query allocation. Results
@@ -86,8 +87,9 @@ type Resource interface {
 
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds the number of queries executing concurrently (and the
-	// fan-out of QueryBatch). Zero or negative means GOMAXPROCS.
+	// Workers is the size of the worker pool: it bounds the computations
+	// executing concurrently, counting the idle slots a computation borrows
+	// for its walk phases. Zero or negative means GOMAXPROCS.
 	Workers int
 	// CacheSize is the number of query results kept in the LRU cache; zero or
 	// negative disables caching. Cached results are shared: treat them (and
@@ -122,9 +124,13 @@ type Request struct {
 	// it (Response.Clamped reports when); values outside (0,1) are rejected.
 	Epsilon float64
 	// K, when positive, asks for the top-k most similar nodes: Response.Top
-	// is populated, and an engine without caching answers from a pooled
-	// result that never escapes (zero per-request result allocation).
-	// K = 0 returns the full result; negative K yields an empty Top.
+	// is populated. When nothing else can see the computed result — the
+	// request is not cached (caching disabled, or NoCache) and no other
+	// request joined its computation (an identical entry later in the same
+	// batch joins too) — the engine computes into a pooled result, keeps
+	// only the selection, and recycles the result (zero per-request result
+	// allocation). K = 0 returns the full result; negative K yields an empty
+	// Top.
 	K int
 	// NoCache makes this request bypass the result cache for both lookup and
 	// insert. It still coalesces with identical in-flight requests.
@@ -169,8 +175,8 @@ type Request struct {
 type Response struct {
 	// Result is the full query result; treat it as read-only — it may be
 	// shared with concurrent callers through the cache or coalescing. Nil
-	// when the request asked for top-k only and the engine answered from a
-	// pooled result (K > 0 with caching disabled and no concurrent sharer).
+	// when the engine answered a top-k request from a pooled result (K > 0,
+	// not cached, no joiner; see Request.K).
 	Result *core.Result
 	// Top is the top-K selection in descending score order; set when K != 0.
 	Top []core.ScoredNode
@@ -287,17 +293,11 @@ type Engine struct {
 	chunkMergedBase   atomic.Int64
 
 	// resPool recycles core.Results for queries whose Result never escapes
-	// the engine — top-k requests with caching disabled that no concurrent
-	// request coalesced onto. Pooled results are index-agnostic
-	// (QueryIntoOpts rebinds the graph and recycles the score map), so the
-	// pool survives hot swaps: a result last used against a swapped-out
-	// generation is safely reused against the new one.
+	// the engine — top-k requests under the pooling rule of Request.K.
+	// Pooled results are index-agnostic (core rebinds the graph and recycles
+	// the score map), so the pool survives hot swaps: a result last used
+	// against a swapped-out generation is safely reused against the new one.
 	resPool sync.Pool
-
-	// queryFn overrides the per-source computation; tests use it to force
-	// interleavings (error masking, coalescing windows) that real queries
-	// cannot produce on demand.
-	queryFn func(ctx context.Context, s *slot, u int) (*core.Result, error)
 }
 
 // New builds an engine over idx. opts.Resource, when non-nil, is retained
@@ -406,7 +406,7 @@ func (e *Engine) swap(idx *core.Index, res Resource, impact *core.UpdateStats) e
 	}
 	switch {
 	case servingStateEquivalent(old.idx, idx):
-		e.cache.rekey(old.gen, gen, idx.Graph())
+		e.cache.rekeyFiltered(old.gen, gen, idx.Graph(), func(int, *core.Result) bool { return true })
 		e.cacheReuses.Add(1)
 	case impact != nil && updateCompatible(old.idx, idx):
 		touched := make(map[int]bool, len(impact.RecomputedHubs)+len(impact.Endpoints))
@@ -540,24 +540,9 @@ func (e *Engine) releaseExtras(n int) {
 	}
 }
 
-// noteQuery counts one completed solo computation toward the parallel-query
-// stat when it engaged more than one worker, and folds its round counts into
-// the adaptive telemetry. (Chunk counters are maintained by core on the index
-// itself, where cancelled-and-discarded chunks are visible; see Stats.)
-func (e *Engine) noteQuery(st core.QueryStats) {
-	if st.Parallelism > 1 {
-		e.parallelQueries.Add(1)
-	}
-	e.noteRounds(st)
-}
-
 // noteRounds folds one completed computation's Monte Carlo round counts into
-// the adaptive telemetry. Zero-budget stats (a queryFn test seam result that
-// never ran a walk phase) are skipped.
+// the adaptive telemetry.
 func (e *Engine) noteRounds(st core.QueryStats) {
-	if st.RoundsBudget == 0 {
-		return
-	}
 	e.roundsExecuted.Add(int64(st.RoundsExecuted))
 	e.roundsBudget.Add(int64(st.RoundsBudget))
 	if st.EarlyStopped {
@@ -565,187 +550,34 @@ func (e *Engine) noteRounds(st core.QueryStats) {
 	}
 }
 
-// Do answers one Request through the full request plane: validation, cache,
-// single-flight coalescing, admission control, computation. See Request and
-// Response for the knob and metadata semantics. The returned Response's
-// Result may be shared with concurrent callers; treat it as read-only.
+// Do answers one Request through the request plane — validation, cache,
+// single-flight coalescing, admission control, computation — as a one-entry
+// DoBatchEach. See Request and Response for the knob and metadata semantics.
+// The returned Response's Result may be shared with concurrent callers;
+// treat it as read-only.
 func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
-	s, err := e.acquire()
+	resps, err := e.DoBatchEach(ctx, []Request{req})
 	if err != nil {
 		return nil, err
 	}
-	defer s.release()
-	return e.doSlot(ctx, s, req)
+	return resps[0], nil
 }
 
-// doSlot is Do against an already-acquired slot (a batch holds one slot for
-// the whole batch so every sub-query answers from one generation).
-func (e *Engine) doSlot(ctx context.Context, s *slot, req Request) (*Response, error) {
-	if !req.Class.valid() {
-		req.Class = ClassInteractive
+// finishResponse binds res — the result of the computation en.served
+// identifies — into the entry's response: the range-coalescing provenance
+// when that is not the entry's own identity, then the top-k selection.
+// Negative k yields an empty Top — HTTP handlers cannot be assumed to
+// pre-validate, and slicing would panic.
+func (e *Engine) finishResponse(en *entry, res *core.Result, k int) *Response {
+	resp := &en.resp
+	if en.served != en.key {
+		e.rangeCoalesced.Add(1)
+		resp.ServedFromTighter = true
+		resp.EpsilonServed = en.served.epsilon
 	}
-	e.queries.Add(1)
-	e.classQueries[req.Class].Add(1)
-	return e.runSlot(ctx, s, req)
-}
-
-// runSlot is doSlot without the query counting — the fused batch path counts
-// its entries up front and uses runSlot for its rare recompute fallbacks.
-func (e *Engine) runSlot(ctx context.Context, s *slot, req Request) (*Response, error) {
-	q := core.QueryOptions{Epsilon: req.Epsilon, Adaptive: e.resolveAdaptive(req.Adaptive)}
-	if err := q.Validate(); err != nil {
-		e.errors.Add(1)
-		return nil, err
-	}
-	if err := s.idx.Graph().CheckNode(req.Source); err != nil {
-		e.errors.Add(1)
-		return nil, err
-	}
-	eff, clamped := s.idx.EffectiveOptions(q)
-	resp := &Response{Epsilon: eff.Epsilon, EpsilonServed: eff.Epsilon, Clamped: clamped}
-	key := cacheKey{gen: s.gen, source: req.Source, epsilon: eff.Epsilon, adaptive: q.Adaptive}
-
-	for {
-		if e.cache != nil && !req.NoCache {
-			if res, served, ok := e.cache.lookup(key, q.Adaptive); ok {
-				e.cacheHits.Add(1)
-				resp.CacheHit = true
-				if served != key {
-					e.rangeCoalesced.Add(1)
-					resp.ServedFromTighter = true
-					resp.EpsilonServed = served.epsilon
-				}
-				return finishResponse(resp, res, req), nil
-			}
-		}
-		// Coalesce onto a satisfying in-flight computation when one exists —
-		// the identical key, or (for adaptive requests) the tightest
-		// computation at a smaller-or-equal epsilon; joiners wait on the
-		// leader without consuming worker or queue slots.
-		e.flightMu.Lock()
-		if f, fkey, ok := e.lookupFlight(key, q.Adaptive); ok {
-			f.joiners++
-			e.flightMu.Unlock()
-			e.coalesced.Add(1)
-			if fkey != key {
-				e.rangeCoalesced.Add(1)
-			}
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				e.errors.Add(1)
-				return nil, ctx.Err()
-			}
-			if f.err != nil {
-				if isContextErr(f.err) && ctx.Err() == nil {
-					// The leader's caller gave up, not ours: retry. The next
-					// attempt hits the cache, joins a fresh flight, or leads.
-					continue
-				}
-				e.errors.Add(1)
-				return nil, f.err
-			}
-			resp.Coalesced = true
-			if fkey != key {
-				resp.ServedFromTighter = true
-				resp.EpsilonServed = fkey.epsilon
-			}
-			return finishResponse(resp, f.res, req), nil
-		}
-		f := &flight{done: make(chan struct{})}
-		e.flights[key] = f
-		e.addFlightKey(key)
-		e.flightMu.Unlock()
-
-		res, pooled, err := e.lead(ctx, s, req, q, key, f)
-		if err != nil {
-			e.errors.Add(1)
-			return nil, err
-		}
-		if pooled {
-			// The result never escapes: extract the selection, recycle.
-			resp.Top = res.TopK(req.K)
-			resp.Graph = res.Graph()
-			e.resPool.Put(res)
-			return resp, nil
-		}
-		return finishResponse(resp, res, req), nil
-	}
-}
-
-// lead runs the computation this caller became the single-flight leader for:
-// admission, the core query, the cache insert, and the flight hand-off. The
-// returned pooled flag reports that res came from (and may be returned to)
-// the engine's result pool — true only when nothing outside the engine can
-// observe it: a top-k request, caching off, and no joiner arrived before the
-// flight completed.
-func (e *Engine) lead(ctx context.Context, s *slot, req Request, q core.QueryOptions, key cacheKey, f *flight) (res *core.Result, pooled bool, err error) {
-	cached := e.cache != nil && !req.NoCache
-	poolCandidate := req.K > 0 && !cached && e.queryFn == nil
-	var svcElapsed time.Duration
-	res, err = func() (*core.Result, error) {
-		if err := e.admit(ctx, req.Class); err != nil {
-			return nil, err
-		}
-		defer e.adm.release()
-		start := time.Now()
-		defer func() { svcElapsed = time.Since(start) }()
-		if e.queryFn != nil {
-			return e.queryFn(ctx, s, req.Source)
-		}
-		// Intra-query parallelism: borrow idle worker slots for this query's
-		// walk chunks. The hint never changes the result bits, only how many
-		// cores compute them.
-		p, extras := e.reserveParallelism(req.Parallelism, s.idx.QueryChunks(q))
-		defer e.releaseExtras(extras)
-		q.Parallelism = p
-		if poolCandidate {
-			r, _ := e.resPool.Get().(*core.Result)
-			if r == nil {
-				r = &core.Result{}
-			}
-			if err := s.idx.QueryIntoOpts(ctx, req.Source, r, q); err != nil {
-				e.resPool.Put(r)
-				return nil, err
-			}
-			e.noteQuery(r.Stats)
-			return r, nil
-		}
-		r := &core.Result{}
-		if err := s.idx.QueryIntoOpts(ctx, req.Source, r, q); err != nil {
-			return nil, err
-		}
-		e.noteQuery(r.Stats)
-		return r, nil
-	}()
-	if err == nil {
-		// Completed computations feed the per-class service-time telemetry
-		// the admission queue sheds and advises Retry-After from.
-		e.adm.observe(req.Class, svcElapsed)
-	}
-	// Publish to the cache before retiring the flight so no identical request
-	// can slip between the two and recompute.
-	if err == nil && cached {
-		e.cache.put(key, res)
-	}
-	e.flightMu.Lock()
-	delete(e.flights, key)
-	e.removeFlightKey(key)
-	joiners := f.joiners
-	e.flightMu.Unlock()
-	f.res, f.err = res, err
-	close(f.done)
-	return res, poolCandidate && joiners == 0, err
-}
-
-// finishResponse binds a computed (or shared) result into the response,
-// applying the request's top-k selection. Negative K yields an empty Top —
-// HTTP handlers cannot be assumed to pre-validate, and slicing would panic.
-func finishResponse(resp *Response, res *core.Result, req Request) *Response {
 	resp.Result = res
 	resp.Graph = res.Graph()
-	if req.K != 0 {
-		k := req.K
+	if k != 0 {
 		if k < 0 {
 			k = 0
 		}
@@ -771,10 +603,11 @@ func (e *Engine) Query(ctx context.Context, u int) (*core.Result, error) {
 	return resp.Result, nil
 }
 
-// QueryBatch answers one query per source, in order, using up to Workers
-// goroutines — a shim over DoBatch with a zero base Request. Results are
-// bit-identical to issuing the same queries sequentially (duplicate sources
-// may share one Result object).
+// QueryBatch answers one query per source, in order — a shim over DoBatch
+// with a zero base Request, so the cache-missing sources run as one fused
+// computation. Results are bit-identical to issuing the same queries
+// sequentially (duplicate sources may share one Result object). The batch
+// fails on its first error.
 func (e *Engine) QueryBatch(ctx context.Context, sources []int) ([]*core.Result, error) {
 	resps, err := e.DoBatch(ctx, Request{}, sources)
 	if err != nil {
@@ -807,34 +640,49 @@ func (e *Engine) DoBatch(ctx context.Context, base Request, sources []int) ([]*R
 	return e.DoBatchEach(ctx, reqs)
 }
 
-// DoBatchEach answers one arbitrary Request per entry, in order — the
-// heterogeneous generalization of DoBatch: entries may carry different
-// epsilons, top-k selections, cache policies, and adaptive modes.
+// entry is one DoBatchEach request's response under construction, its
+// resolved identity, and how it is being answered.
+type entry struct {
+	resp   Response
+	q      core.QueryOptions
+	key    cacheKey
+	cached bool // the request reads and fills the result cache
+	// served identifies the computation that answers the entry: key itself,
+	// or a tighter cached or in-flight one (range coalescing).
+	served cacheKey
+	// f is the flight the entry leads or joined.
+	f *flight
+}
+
+// DoBatchEach answers one arbitrary Request per entry, in order: entries may
+// carry different epsilons, top-k selections, cache policies, and adaptive
+// modes. It is the engine's one request path — Do and DoBatch call it.
 //
-// The batch is fused: entries not answered by the cache or an in-flight
-// computation run as ONE core computation that processes the sources in
-// bounded waves, streaming each index level once per wave — not once per
-// entry — into per-entry accumulators gated by each entry's own epsilon,
-// with the walk phases (each stopping under its own entry's adaptive
-// policy) fanned out over the group's worker slots. The wave width (not the
-// batch length) bounds how many O(n) per-entry states are live, so an
-// arbitrarily long batch cannot balloon memory. Entries duplicating an
-// earlier entry's exact identity share the first occurrence's Result
-// (byte-identical entries) and report Coalesced, exactly like cross-caller
-// coalescing; an adaptive entry may also be satisfied by a tighter cached
-// computation or join a tighter in-flight one — including a tighter entry
-// earlier in the same batch, through the flight table — reported via
-// ServedFromTighter. Results stay bit-identical to issuing the same
-// requests sequentially.
+// Each entry is answered from the cache (exactly or, for an adaptive entry,
+// through range coalescing), joins a satisfying in-flight computation, or
+// leads. Earlier entries of the same batch take part like any concurrent
+// request: an entry repeating an earlier one's identity shares its Result
+// through the cache or its flight (reported CacheHit or Coalesced), and an
+// adaptive entry may join a tighter earlier entry's flight. The
+// leaders run as ONE core computation that processes the sources in bounded
+// waves, streaming each index level once per wave — not once per entry —
+// into per-entry accumulators gated by each entry's own epsilon, with the
+// walk phases (each stopping under its own entry's adaptive policy) fanned
+// out over the group's worker slots; a lone leader runs the intra-query
+// chunked path. The wave width (not the batch length) bounds how many O(n)
+// per-entry states are live, so an arbitrarily long batch cannot balloon
+// memory. Range-coalesced entries report ServedFromTighter. A joiner whose
+// leader's caller gave up is classified again. Results stay bit-identical to
+// issuing the same requests sequentially.
 //
 // The whole batch runs against one index generation (a concurrent Swap
 // affects only later batches), shares the engine's cache and single-flight
-// table, and admits once: as ClassBatch when every entry is ClassBatch,
-// ClassInteractive otherwise.
+// table, and its leaders admit once: as ClassBatch when every entry is
+// ClassBatch, ClassInteractive otherwise.
 //
-// On the first error the remaining queries are cancelled and the error is
-// returned; a real query failure always wins over the context-cancellation
-// errors it triggers.
+// The batch fails on its first error — an invalid entry, a shed or failed
+// computation, a failed flight it joined, or ctx ending — returned as is, so
+// errors.Is and errors.As match it.
 func (e *Engine) DoBatchEach(ctx context.Context, reqs []Request) ([]*Response, error) {
 	s, err := e.acquire()
 	if err != nil {
@@ -849,26 +697,26 @@ func (e *Engine) DoBatchEach(ctx context.Context, reqs []Request) ([]*Response, 
 	// Validate every entry up front so a bad request fails fast instead of
 	// surfacing mid-batch.
 	g := s.idx.Graph()
-	qs := make([]core.QueryOptions, len(reqs))
-	effEps := make([]float64, len(reqs))
-	clamped := make([]bool, len(reqs))
+	ents := make([]entry, len(reqs))
 	for i := range reqs {
-		qs[i] = core.QueryOptions{Epsilon: reqs[i].Epsilon, Adaptive: e.resolveAdaptive(reqs[i].Adaptive)}
-		if err := qs[i].Validate(); err != nil {
+		req := &reqs[i]
+		q := core.QueryOptions{Epsilon: req.Epsilon, Adaptive: e.resolveAdaptive(req.Adaptive)}
+		if err := q.Validate(); err != nil {
 			e.errors.Add(1)
 			return nil, err
 		}
-		if err := g.CheckNode(reqs[i].Source); err != nil {
+		if err := g.CheckNode(req.Source); err != nil {
 			e.errors.Add(1)
 			return nil, err
 		}
-		eff, cl := s.idx.EffectiveOptions(qs[i])
-		effEps[i], clamped[i] = eff.Epsilon, cl
-	}
-	if e.queryFn != nil {
-		// The test seam overrides the per-source computation, which the fused
-		// core call cannot honor; fan the batch out over doSlot instead.
-		return e.doBatchFanout(ctx, s, reqs, results)
+		eff, clamped := s.idx.EffectiveOptions(q)
+		key := cacheKey{gen: s.gen, source: req.Source, epsilon: eff.Epsilon, adaptive: q.Adaptive}
+		ents[i] = entry{
+			resp:   Response{Epsilon: eff.Epsilon, EpsilonServed: eff.Epsilon, Clamped: clamped},
+			q:      q,
+			key:    key,
+			cached: e.cache != nil && !req.NoCache,
+		}
 	}
 	class := ClassBatch
 	for i := range reqs {
@@ -883,332 +731,185 @@ func (e *Engine) DoBatchEach(ctx context.Context, reqs []Request) ([]*Response, 
 	}
 	e.queries.Add(int64(len(reqs)))
 
-	newResp := func(i int) *Response {
-		return &Response{Epsilon: effEps[i], EpsilonServed: effEps[i], Clamped: clamped[i]}
-	}
-
-	// Classify each entry in input order: answered from the cache (exactly or
-	// through range coalescing), duplicate of an earlier in-batch entry,
-	// joiner of a satisfying in-flight computation, or leader in the batch's
-	// fused computation.
-	type extJoin struct {
-		i    int
-		f    *flight
-		fkey cacheKey
-	}
-	var (
-		firstIdx = make(map[cacheKey]int, len(reqs))
-		dupOf    = make([]int, len(reqs))
-		keys     = make([]cacheKey, len(reqs))
-		joins    []extJoin
-		leaders  []int
-		flights  = make([]*flight, len(reqs))
-	)
-	for i := range reqs {
-		dupOf[i] = -1
-		key := cacheKey{gen: s.gen, source: reqs[i].Source, epsilon: effEps[i], adaptive: qs[i].Adaptive}
-		keys[i] = key
-		if j, ok := firstIdx[key]; ok {
-			dupOf[i] = j
-			continue
-		}
-		firstIdx[key] = i
-		if e.cache != nil && !reqs[i].NoCache {
-			if res, served, ok := e.cache.lookup(key, qs[i].Adaptive); ok {
-				e.cacheHits.Add(1)
-				resp := newResp(i)
-				resp.CacheHit = true
-				if served != key {
-					e.rangeCoalesced.Add(1)
-					resp.ServedFromTighter = true
-					resp.EpsilonServed = served.epsilon
-				}
-				results[i] = finishResponse(resp, res, reqs[i])
+	// Each pass classifies the unanswered entries in input order — cache
+	// hit, joiner of a satisfying in-flight computation, or leader — runs
+	// the leaders, then waits out the joined flights. An entry repeating an
+	// earlier entry's identity finds that entry's cache hit or flight, so it
+	// shares its Result. A joiner whose leader's caller gave up before
+	// publishing goes round again: the next pass hits the cache, joins a
+	// fresh flight, or leads.
+	for again := true; again; {
+		again = false
+		var leaders, joins []int
+		for i := range ents {
+			en := &ents[i]
+			if results[i] != nil {
 				continue
+			}
+			if en.cached {
+				if res, served, ok := e.cache.lookup(en.key, en.q.Adaptive); ok {
+					e.cacheHits.Add(1)
+					en.resp.CacheHit = true
+					en.served = served
+					results[i] = e.finishResponse(en, res, reqs[i].K)
+					continue
+				}
+			}
+			// The identical key, or (for adaptive requests) the tightest
+			// computation at a smaller-or-equal epsilon; joiners wait on the
+			// leader without consuming worker or queue slots.
+			e.flightMu.Lock()
+			if f, fkey, ok := e.lookupFlight(en.key, en.q.Adaptive); ok {
+				f.joiners++
+				e.flightMu.Unlock()
+				e.coalesced.Add(1)
+				en.f, en.served = f, fkey
+				joins = append(joins, i)
+				continue
+			}
+			en.f, en.served = &flight{done: make(chan struct{})}, en.key
+			e.flights[en.key] = en.f
+			e.addFlightKey(en.key)
+			e.flightMu.Unlock()
+			leaders = append(leaders, i)
+		}
+		if len(leaders) > 0 {
+			if err := e.lead(ctx, s, class, reqs, ents, leaders, results); err != nil {
+				e.errors.Add(1)
+				return nil, err
+			}
+		}
+		for _, i := range joins {
+			en := &ents[i]
+			f := en.f
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				e.errors.Add(1)
+				return nil, ctx.Err()
+			}
+			if f.err != nil {
+				if isContextErr(f.err) && ctx.Err() == nil {
+					again = true
+					continue
+				}
+				e.errors.Add(1)
+				return nil, f.err
+			}
+			en.resp.Coalesced = true
+			results[i] = e.finishResponse(en, f.res, reqs[i].K)
+		}
+	}
+	return results, nil
+}
+
+// lead runs one pass's leaders as one computation — one admission slot for
+// the group (plus whatever idle extras the parallelism hint lets it borrow),
+// one core call — then publishes each leader's result to the cache and its
+// flight. A leader whose result nothing outside the engine can observe (the
+// pooling rule of Request.K: K > 0, not cached, and no joiner by the time its
+// flight retires) computes into a pooled result, keeps only its top-k
+// selection, and recycles the result.
+func (e *Engine) lead(ctx context.Context, s *slot, class Class, reqs []Request, ents []entry, leaders []int, results []*Response) error {
+	pooled := func(i int) bool { return reqs[i].K > 0 && !ents[i].cached }
+	sources := make([]int, len(leaders))
+	qs := make([]core.QueryOptions, len(leaders))
+	res := make([]*core.Result, len(leaders))
+	for t, i := range leaders {
+		sources[t], qs[t] = reqs[i].Source, ents[i].q
+		if pooled(i) {
+			res[t], _ = e.resPool.Get().(*core.Result)
+		}
+		if res[t] == nil {
+			res[t] = &core.Result{}
+		}
+	}
+	// The group's parallelism hint: auto (0) from any leader opens the whole
+	// pool, otherwise the largest explicit hint governs.
+	hint := 0
+	for _, i := range leaders {
+		if p := reqs[i].Parallelism; p <= 0 {
+			hint = 0
+			break
+		} else if p > hint {
+			hint = p
+		}
+	}
+	var svcElapsed time.Duration
+	err := func() error {
+		if err := e.admit(ctx, class); err != nil {
+			return err
+		}
+		defer e.adm.release()
+		start := time.Now()
+		defer func() { svcElapsed = time.Since(start) }()
+		// The computation fans out across sources (each source's walk phase
+		// runs serially on its worker), so the useful fan-out is the leader
+		// count — except for a lone leader, which runs the intra-query
+		// chunked path.
+		useful := len(sources)
+		if useful == 1 {
+			useful = s.idx.QueryChunks(qs[0])
+		}
+		p, extras := e.reserveParallelism(hint, useful)
+		defer e.releaseExtras(extras)
+		for t := range qs {
+			qs[t].Parallelism = p
+		}
+		return s.idx.QueryBatchEachIntoOpts(ctx, sources, res, qs)
+	}()
+	if err == nil {
+		// Feed the per-class service-time telemetry with the per-source
+		// cost: the group answers len(sources) sources in one admission slot,
+		// so each source's share is the fair sample.
+		e.adm.observe(class, svcElapsed/time.Duration(len(sources)))
+		// One computation is one unit of engaged parallelism, however many
+		// sources it answered: count it once when any wave fanned out. Round
+		// telemetry is per leader — each walked (and possibly stopped) on its
+		// own. (Chunk counters are maintained by core on the index itself,
+		// where cancelled-and-discarded chunks are visible; see Stats.)
+		maxPar := 0
+		for _, r := range res {
+			e.noteRounds(r.Stats)
+			if r.Stats.Parallelism > maxPar {
+				maxPar = r.Stats.Parallelism
+			}
+		}
+		if maxPar > 1 {
+			e.parallelQueries.Add(1)
+		}
+	}
+	// Publish to the cache before retiring each flight so no identical
+	// request can slip between the two and recompute.
+	for t, i := range leaders {
+		en := &ents[i]
+		var r *core.Result
+		if err == nil {
+			r = res[t]
+			if en.cached {
+				e.cache.put(en.key, r)
 			}
 		}
 		e.flightMu.Lock()
-		if f, fkey, ok := e.lookupFlight(key, qs[i].Adaptive); ok {
-			f.joiners++
-			e.flightMu.Unlock()
-			e.coalesced.Add(1)
-			if fkey != key {
-				e.rangeCoalesced.Add(1)
-			}
-			joins = append(joins, extJoin{i: i, f: f, fkey: fkey})
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		e.flights[key] = f
-		e.addFlightKey(key)
+		delete(e.flights, en.key)
+		e.removeFlightKey(en.key)
+		joiners := en.f.joiners
 		e.flightMu.Unlock()
-		flights[i] = f
-		leaders = append(leaders, i)
-	}
-
-	// Error slots with a strict priority: a query's own failure is
-	// authoritative; context errors are only reported when no query failed.
-	var queryErr, ctxErr error
-	note := func(err error) {
-		if isContextErr(err) {
-			if ctxErr == nil {
-				ctxErr = err
-			}
-			return
-		}
-		if queryErr == nil {
-			queryErr = err
-		}
-	}
-
-	// The fused computation: one admission slot for the whole group (plus
-	// whatever idle extras the parallelism hint lets it borrow), one core
-	// call, one shared index-read pass.
-	if len(leaders) > 0 {
-		leadSources := make([]int, len(leaders))
-		leadQs := make([]core.QueryOptions, len(leaders))
-		coreRes := make([]*core.Result, len(leaders))
-		for t, i := range leaders {
-			leadSources[t] = reqs[i].Source
-			leadQs[t] = qs[i]
-			coreRes[t] = &core.Result{}
-		}
-		// The group's parallelism hint: auto (0) from any leader opens the
-		// whole pool, otherwise the largest explicit hint governs.
-		hint := 0
-		for _, i := range leaders {
-			if p := reqs[i].Parallelism; p <= 0 {
-				hint = 0
-				break
-			} else if p > hint {
-				hint = p
-			}
-		}
-		var svcElapsed time.Duration
-		err := func() error {
-			if err := e.admit(ctx, class); err != nil {
-				return err
-			}
-			defer e.adm.release()
-			start := time.Now()
-			defer func() { svcElapsed = time.Since(start) }()
-			// The fused computation fans out across sources (each source's
-			// walk phase runs serially on its worker), so the useful fan-out
-			// is the leader count — except for a single leader, which
-			// degenerates to the intra-query chunked path.
-			useful := len(leadSources)
-			if useful == 1 {
-				useful = s.idx.QueryChunks(leadQs[0])
-			}
-			p, extras := e.reserveParallelism(hint, useful)
-			defer e.releaseExtras(extras)
-			for t := range leadQs {
-				leadQs[t].Parallelism = p
-			}
-			return s.idx.QueryBatchEachIntoOpts(ctx, leadSources, coreRes, leadQs)
-		}()
-		if err == nil {
-			// Feed the per-class service-time telemetry with the per-source
-			// cost: a fused batch answers len(leadSources) sources in one
-			// admission slot, so each source's share is the fair sample.
-			e.adm.observe(class, svcElapsed/time.Duration(len(leadSources)))
-		}
-		// One fused computation is one unit of engaged parallelism, however
-		// many sources it answered: count it once when any wave fanned out.
-		// Round telemetry is per entry — each leader walked (and possibly
-		// stopped) on its own.
-		if err == nil {
-			maxPar := 0
-			for _, r := range coreRes {
-				e.noteRounds(r.Stats)
-				if r.Stats.Parallelism > maxPar {
-					maxPar = r.Stats.Parallelism
-				}
-			}
-			if maxPar > 1 {
-				e.parallelQueries.Add(1)
-			}
-		}
-		// Publish to the cache before retiring each flight so no identical
-		// request can slip between the two and recompute.
-		for t, i := range leaders {
-			key := keys[i]
-			f := flights[i]
-			var res *core.Result
+		en.f.res, en.f.err = r, err
+		close(en.f.done)
+		switch {
+		case pooled(i) && (err != nil || joiners == 0):
 			if err == nil {
-				res = coreRes[t]
-				if e.cache != nil && !reqs[i].NoCache {
-					e.cache.put(key, res)
-				}
+				en.resp.Top = r.TopK(reqs[i].K)
+				en.resp.Graph = r.Graph()
+				results[i] = &en.resp
 			}
-			e.flightMu.Lock()
-			delete(e.flights, key)
-			e.removeFlightKey(key)
-			e.flightMu.Unlock()
-			f.res, f.err = res, err
-			close(f.done)
-			if err == nil {
-				results[i] = finishResponse(newResp(i), res, reqs[i])
-			}
-		}
-		if err != nil {
-			e.errors.Add(1)
-			note(fmt.Errorf("engine: batch query: %w", err))
+			e.resPool.Put(res[t])
+		case err == nil:
+			results[i] = e.finishResponse(en, r, reqs[i].K)
 		}
 	}
-
-	// Wait out the computations this batch's entries coalesced onto.
-	if queryErr == nil && ctxErr == nil {
-		for _, ej := range joins {
-			resp, err := e.joinFlight(ctx, s, reqs[ej.i], ej.f, ej.fkey != keys[ej.i], ej.fkey.epsilon)
-			if err != nil {
-				note(fmt.Errorf("engine: query from source %d: %w", reqs[ej.i].Source, err))
-				break
-			}
-			results[ej.i] = resp
-		}
-	}
-
-	// Resolve in-batch duplicates against their leaders' responses: the same
-	// Result object (byte-identical entries), counted like any coalesced
-	// request — or like a cache hit when the first occurrence was one.
-	if queryErr == nil && ctxErr == nil {
-		for i, j := range dupOf {
-			if j < 0 {
-				continue
-			}
-			lead := results[j]
-			if lead == nil || lead.Result == nil {
-				// Rare: the duplicated entry answered without a shareable
-				// result (a foreign leader gave up and the retry pooled its
-				// top-k). Recompute through the normal path.
-				resp, err := e.runSlot(ctx, s, reqs[i])
-				if err != nil {
-					note(fmt.Errorf("engine: query from source %d: %w", reqs[i].Source, err))
-					break
-				}
-				results[i] = resp
-				continue
-			}
-			resp := newResp(i)
-			if lead.CacheHit {
-				e.cacheHits.Add(1)
-				resp.CacheHit = true
-			} else {
-				e.coalesced.Add(1)
-				resp.Coalesced = true
-			}
-			if lead.ServedFromTighter {
-				e.rangeCoalesced.Add(1)
-				resp.ServedFromTighter = true
-				resp.EpsilonServed = lead.EpsilonServed
-			}
-			results[i] = finishResponse(resp, lead.Result, reqs[i])
-		}
-	}
-
-	if queryErr != nil {
-		return nil, queryErr
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	return results, nil
-}
-
-// joinFlight waits out an in-flight computation a batch entry coalesced
-// onto, retrying through the normal request path when the foreign leader's
-// caller gave up before publishing (mirroring doSlot's retry loop). tighter
-// and servedEps carry the range-coalescing provenance when the joined flight
-// was a tighter computation rather than the entry's exact identity.
-func (e *Engine) joinFlight(ctx context.Context, s *slot, req Request, f *flight, tighter bool, servedEps float64) (*Response, error) {
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		e.errors.Add(1)
-		return nil, ctx.Err()
-	}
-	if f.err != nil {
-		if isContextErr(f.err) && ctx.Err() == nil {
-			return e.runSlot(ctx, s, req)
-		}
-		e.errors.Add(1)
-		return nil, f.err
-	}
-	eff, clamped := s.idx.EffectiveOptions(core.QueryOptions{Epsilon: req.Epsilon})
-	resp := &Response{Epsilon: eff.Epsilon, EpsilonServed: eff.Epsilon, Clamped: clamped, Coalesced: true}
-	if tighter {
-		resp.ServedFromTighter = true
-		resp.EpsilonServed = servedEps
-	}
-	return finishResponse(resp, f.res, req), nil
-}
-
-// doBatchFanout is the pre-fusion batch path: one doSlot per entry over up
-// to Workers goroutines. It remains behind the queryFn test seam, which
-// forces per-source interleavings the fused single computation cannot
-// reproduce.
-func (e *Engine) doBatchFanout(ctx context.Context, s *slot, reqs []Request, results []*Response) ([]*Response, error) {
-	workers := e.workers
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Two error slots with a strict priority: a query's own failure is
-	// authoritative, while context errors (the parent's deadline, or the
-	// cancellation fan-out a failing sibling triggers) are only reported when
-	// no query failed. A single errOnce cannot express this: a worker parked
-	// on the semaphore can observe ctx.Done and record context.Canceled
-	// before the failing worker records the root cause, masking it.
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		mu       sync.Mutex
-		queryErr error // first non-context query failure
-		ctxErr   error // first context-derived abort
-	)
-	record := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if isContextErr(err) {
-			if ctxErr == nil {
-				ctxErr = err
-			}
-			return
-		}
-		if queryErr == nil {
-			queryErr = err
-		}
-	}
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(reqs) {
-					return
-				}
-				resp, err := e.doSlot(ctx, s, reqs[i])
-				if err != nil {
-					record(fmt.Errorf("engine: query from source %d: %w", reqs[i].Source, err))
-					cancel()
-					return
-				}
-				results[i] = resp
-			}
-		}()
-	}
-	wg.Wait()
-	if queryErr != nil {
-		return nil, queryErr
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	return results, nil
+	return err
 }
 
 // TopK answers a single-source query and returns its k best nodes (excluding
@@ -1275,8 +976,9 @@ type Stats struct {
 	// CacheReuses counts swaps that kept (re-keyed) the result cache because
 	// the incoming index serves an identical graph with identical options.
 	CacheReuses int64
-	// Queries counts single-source requests answered, including cache hits
-	// and coalesced joiners.
+	// Queries counts valid single-source requests, including cache hits and
+	// coalesced joiners; a request rejected by validation counts only in
+	// Errors.
 	Queries int64
 	// CacheHits counts requests answered from the LRU cache.
 	CacheHits int64
@@ -1433,17 +1135,6 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-func (c *resultCache) get(key cacheKey) (*core.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
-}
-
 // lookup finds a cached result that answers key: the exact entry, or — for
 // adaptive requests — the tightest satisfying entry at a smaller-or-equal
 // epsilon (range coalescing). The returned key is the identity of the entry
@@ -1540,40 +1231,14 @@ func (c *resultCache) purge() {
 	clear(c.bySource)
 }
 
-// rekey migrates every entry of generation oldGen to newGen, rebinding the
-// kept results to g (the new generation's graph object — structurally
-// identical, but the old object may alias a mapping about to be unmapped).
-// Entries already keyed newGen (a query that raced ahead of the swap) are
-// kept as they are; entries from any other generation (a racing insert
-// against an even older slot) are dropped. LRU order is preserved; shared
-// results are never mutated — rebinding produces shallow copies.
-func (c *resultCache) rekey(oldGen, newGen uint64, g *graph.Graph) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var el, next *list.Element
-	for el = c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.key.gen == newGen {
-			continue
-		}
-		delete(c.items, ent.key)
-		if ent.key.gen != oldGen {
-			c.ll.Remove(el)
-			continue
-		}
-		ent.key.gen = newGen
-		ent.res = ent.res.Rebound(g)
-		c.items[ent.key] = el
-	}
-	c.rebuildIndex()
-}
-
-// rekeyFiltered is rekey with a retention predicate: entries of generation
-// oldGen that keep reports true for migrate to newGen (rebound to g, like
-// rekey); entries keep rejects — and entries of any other stale generation —
-// are dropped. Entries already keyed newGen (a query that raced ahead of the
-// swap) are kept as they are. It returns the number of entries migrated.
+// rekeyFiltered migrates the entries of generation oldGen that keep reports
+// true for to newGen, rebinding their results to g (the new generation's
+// graph object — the old object may alias a mapping about to be unmapped);
+// entries keep rejects — and entries of any other stale generation (a racing
+// insert against an even older slot) — are dropped. Entries already keyed
+// newGen (a query that raced ahead of the swap) are kept as they are. LRU
+// order is preserved; shared results are never mutated — rebinding produces
+// shallow copies. It returns the number of entries migrated.
 func (c *resultCache) rekeyFiltered(oldGen, newGen uint64, g *graph.Graph, keep func(source int, res *core.Result) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -277,64 +277,99 @@ func TestPair(t *testing.T) {
 	}
 }
 
-// TestQueryBatchRealErrorWinsOverCancellation is the regression test for the
-// error-masking race: a worker that observes context.Canceled (triggered by a
-// failing sibling's cancel fan-out, or by the parent) must not hide the
-// sibling's real error. The query hook forces the masking interleaving
-// deterministically — the context error is recorded strictly before the real
-// one — which the old single-errOnce implementation lost. Run under -race.
-func TestQueryBatchRealErrorWinsOverCancellation(t *testing.T) {
-	idx := testIndex(t, 100)
-	e, err := New(idx, Options{Workers: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	realErr := errors.New("page fault reading entry slab")
-	inQuery := make(chan struct{})
-	e.queryFn = func(ctx context.Context, s *slot, u int) (*core.Result, error) {
-		if u == 1 {
-			// The genuinely failing worker: parked mid-query until the
-			// cancellation fan-out reaches it, so its real error is recorded
-			// strictly AFTER the sibling's context error.
-			close(inQuery)
-			<-ctx.Done()
-			return nil, realErr
-		}
-		// The sibling: waits until the failing worker is inside its query
-		// (so it cannot be skipped by the semaphore select), then aborts
-		// with the context error and triggers cancel.
-		<-inQuery
-		return nil, context.Canceled
-	}
-	_, err = e.QueryBatch(context.Background(), []int{0, 1})
-	if err == nil {
-		t.Fatal("expected batch error")
-	}
-	if !errors.Is(err, realErr) {
-		t.Fatalf("batch error = %v, want the real query error to win over context.Canceled", err)
-	}
-	if errors.Is(err, context.Canceled) {
-		t.Fatalf("batch error %v still reports cancellation", err)
-	}
-}
-
 // TestQueryBatchPureCancellationStillReported: when every failure is
 // context-derived (nobody had a real error), the context error must still
-// surface.
+// surface. The batch's computation waits for a held worker slot until its
+// caller gives up.
 func TestQueryBatchPureCancellationStillReported(t *testing.T) {
 	idx := testIndex(t, 100)
 	e, err := New(idx, Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	release := holdWorkers(t, e)
+	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
-	e.queryFn = func(qctx context.Context, s *slot, u int) (*core.Result, error) {
-		cancel()
-		<-qctx.Done()
-		return nil, qctx.Err()
-	}
-	if _, err := e.QueryBatch(ctx, []int{0, 1, 2}); !errors.Is(err, context.Canceled) {
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.QueryBatch(ctx, []int{0, 1, 2})
+		errc <- err
+	}()
+	waitFor(t, "the batch to wait for a worker", func() bool {
+		return e.adm.depths()[ClassInteractive] == 1
+	})
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch error = %v, want context.Canceled", err)
+	}
+}
+
+// TestJoinerOutlivesCancelledLeader pins the hand-off after a leader's caller
+// gives up: the requests that joined its flight — a Do and an entry of a
+// DoBatchEach that also leads another source — are classified again instead
+// of inheriting the cancellation, one of them leads a fresh computation, and
+// both answer with the bits of a direct query.
+func TestJoinerOutlivesCancelledLeader(t *testing.T) {
+	idx := testIndex(t, 200)
+	e, err := New(idx, Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	const u, v = 7, 8
+	release := holdWorkers(t, e)
+
+	leadCtx, cancelLead := context.WithCancel(context.Background())
+	defer cancelLead()
+	leadErr := make(chan error, 1)
+	go func() {
+		_, err := e.Do(leadCtx, Request{Source: u})
+		leadErr <- err
+	}()
+	waitFor(t, "the leader to wait for a worker", func() bool {
+		return e.adm.depths()[ClassInteractive] == 1
+	})
+
+	ctx := context.Background()
+	var (
+		wg              sync.WaitGroup
+		doResp          *Response
+		batchResps      []*Response
+		doErr, batchErr error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		doResp, doErr = e.Do(ctx, Request{Source: u})
+	}()
+	go func() {
+		defer wg.Done()
+		batchResps, batchErr = e.DoBatchEach(ctx, []Request{{Source: u}, {Source: v}})
+	}()
+	waitFor(t, "both joiners to join the leader's flight", func() bool {
+		return e.coalesced.Load() == 2
+	})
+
+	cancelLead()
+	if err := <-leadErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader error = %v, want context.Canceled", err)
+	}
+	release()
+	wg.Wait()
+	if doErr != nil || batchErr != nil {
+		t.Fatalf("joiners failed after the leader gave up: Do=%v DoBatchEach=%v", doErr, batchErr)
+	}
+	for _, c := range []struct {
+		src  int
+		resp *Response
+	}{{u, doResp}, {u, batchResps[0]}, {v, batchResps[1]}} {
+		want, err := idx.Query(c.src)
+		if err != nil {
+			t.Fatalf("Query(%d): %v", c.src, err)
+		}
+		sameResult(t, want, c.resp.Result)
+	}
+	if got := e.Stats().Errors; got != 1 {
+		t.Fatalf("Errors = %d, want 1 (the cancelled leader only)", got)
 	}
 }
 
@@ -597,9 +632,10 @@ func TestNewValidation(t *testing.T) {
 
 // TestDoCoalescesIdenticalRequests is the acceptance test for single-flight
 // coalescing: 64 concurrent identical uncached requests must trigger exactly
-// one underlying computation. The query hook holds the flight open until
-// every other caller has registered as a joiner, making the count
-// deterministic instead of racing on goroutine startup. Run under -race.
+// one underlying computation. Every worker slot is held, so the leader waits
+// in the admission queue with its flight registered until every other caller
+// has joined it, making the count deterministic instead of racing on
+// goroutine startup. Run under -race.
 func TestDoCoalescesIdenticalRequests(t *testing.T) {
 	idx := testIndex(t, 200)
 	// No cache: the dedupe must come from coalescing alone.
@@ -608,26 +644,7 @@ func TestDoCoalescesIdenticalRequests(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	const callers = 64
-	var computations atomic.Int64
-	release := make(chan struct{})
-	e.queryFn = func(ctx context.Context, s *slot, u int) (*core.Result, error) {
-		computations.Add(1)
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return s.idx.Query(u)
-	}
-	// Release the leader only once all other callers joined its flight
-	// (joiners increment the coalesced counter at registration time).
-	go func() {
-		deadline := time.Now().Add(30 * time.Second)
-		for e.coalesced.Load() < callers-1 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		close(release)
-	}()
+	release := holdWorkers(t, e)
 
 	var wg sync.WaitGroup
 	resps := make([]*Response, callers)
@@ -639,11 +656,17 @@ func TestDoCoalescesIdenticalRequests(t *testing.T) {
 			resps[i], errs[i] = e.Do(context.Background(), Request{Source: 7})
 		}(i)
 	}
+	// Joiners increment the coalesced counter at registration time; any
+	// caller that led a computation of its own would queue for a worker.
+	waitFor(t, "every other caller to join the queued leader", func() bool {
+		return e.coalesced.Load() == callers-1 && e.adm.depths()[ClassInteractive] >= 1
+	})
+	if d := e.adm.depths(); d != [numClasses]int{1, 0} {
+		t.Fatalf("queue depths = %v with %d joiners, want exactly one queued computation", d, callers-1)
+	}
+	release()
 	wg.Wait()
 
-	if got := computations.Load(); got != 1 {
-		t.Fatalf("underlying computations = %d, want exactly 1", got)
-	}
 	var shared, leaders int
 	for i := range resps {
 		if errs[i] != nil {
@@ -668,6 +691,25 @@ func TestDoCoalescesIdenticalRequests(t *testing.T) {
 	if st.Queries != callers || st.Coalesced != callers-1 {
 		t.Fatalf("stats queries/coalesced = %d/%d, want %d/%d", st.Queries, st.Coalesced, callers, callers-1)
 	}
+	if want := int64(resps[0].Result.Stats.RoundsBudget); st.RoundsBudget != want {
+		t.Fatalf("RoundsBudget = %d, want %d: exactly one underlying computation", st.RoundsBudget, want)
+	}
+}
+
+// holdWorkers occupies every worker slot of e, as that many running
+// computations would, so the next leader registers its flight and then waits
+// in the admission queue: a window in which a test can join, cancel, or shed
+// requests deterministically. The returned func frees the slots; it also runs
+// at cleanup, so a failing test does not strand parked requests.
+func holdWorkers(t *testing.T, e *Engine) (release func()) {
+	t.Helper()
+	if got := e.grabExtras(e.workers); got != e.workers {
+		t.Fatalf("held %d of %d worker slots; the pool was not idle", got, e.workers)
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { e.releaseExtras(e.workers) }) }
+	t.Cleanup(release)
+	return release
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -684,8 +726,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestDoShedsWhenQueueFull pins admission control: with one worker and one
 // queue slot, the third distinct concurrent request must be shed immediately
-// with ErrOverloaded and no partial result, while the queued requests
-// complete once the worker frees up. Run under -race.
+// with ErrOverloaded and no partial result, while the queued request
+// completes once the worker frees up. The first request is a held worker
+// slot. Run under -race.
 func TestDoShedsWhenQueueFull(t *testing.T) {
 	idx := testIndex(t, 100)
 	e, err := New(idx, Options{Workers: 1, MaxQueue: 1})
@@ -695,28 +738,10 @@ func TestDoShedsWhenQueueFull(t *testing.T) {
 	if e.MaxQueue() != 1 {
 		t.Fatalf("MaxQueue = %d, want 1", e.MaxQueue())
 	}
-	enteredA := make(chan struct{})
-	blockA := make(chan struct{})
-	e.queryFn = func(ctx context.Context, s *slot, u int) (*core.Result, error) {
-		if u == 0 {
-			close(enteredA)
-			select {
-			case <-blockA:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		return s.idx.Query(u)
-	}
+	release := holdWorkers(t, e) // A occupies the only worker slot
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	var errA, errB error
-	wg.Add(1)
-	go func() { // A occupies the only worker slot
-		defer wg.Done()
-		_, errA = e.Do(ctx, Request{Source: 0})
-	}()
-	<-enteredA
+	var errB error
 	wg.Add(1)
 	go func() { // B takes the only queue slot
 		defer wg.Done()
@@ -738,10 +763,10 @@ func TestDoShedsWhenQueueFull(t *testing.T) {
 		t.Fatalf("Shed = %d, want 1", st.Shed)
 	}
 
-	close(blockA)
+	release()
 	wg.Wait()
-	if errA != nil || errB != nil {
-		t.Fatalf("queued requests failed: A=%v B=%v", errA, errB)
+	if errB != nil {
+		t.Fatalf("queued request failed: B=%v", errB)
 	}
 	if st := e.Stats(); st.QueueDepth != 0 {
 		t.Fatalf("QueueDepth = %d after drain, want 0", st.QueueDepth)

@@ -257,9 +257,6 @@ func (o *overlay) deleteEdge(u, v int) {
 // baseOut returns u's out-adjacency in the base CSR, ignoring any overlay.
 func (g *Graph) baseOut(u int) []int32 { return g.outAdj[g.outOff[u]:g.outOff[u+1]] }
 
-// baseIn returns v's in-adjacency in the base CSR, ignoring any overlay.
-func (g *Graph) baseIn(v int) []int32 { return g.inAdj[g.inOff[v]:g.inOff[v+1]] }
-
 // Compact folds the overlay into a fresh CSR graph and returns it; the
 // receiver is left untouched (its base arrays may alias a read-only mapping).
 // The compacted adjacency lists are exactly the merged views — base order with

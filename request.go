@@ -57,9 +57,11 @@ type Request struct {
 	// rejected.
 	Epsilon float64
 	// K, when positive, asks for the top-k most similar nodes: Response.Top
-	// is populated, and an engine running without a result cache answers
-	// from pooled storage that never escapes. K = 0 returns the full result;
-	// negative K yields an empty Top.
+	// is populated, and when nothing else can see the computed result (not
+	// cached, and no other request — a duplicate in the same batch included
+	// — joined its computation) an engine answers from pooled storage that
+	// never escapes. K = 0 returns the full result; negative K yields an
+	// empty Top.
 	K int
 	// NoCache makes this request bypass the engine's result cache for both
 	// lookup and insert. It still coalesces with identical in-flight
@@ -246,8 +248,8 @@ func wrapResponse(cur *Graph, inner *engine.Response) *Response {
 // Batches share the cache and coalesce with concurrent identical requests
 // exactly like Do; duplicate sources within one batch share one Result
 // (byte-identical entries) and report Coalesced. Results are bit-identical
-// to issuing the same requests sequentially. On the first error the
-// remaining queries are cancelled and the error is returned.
+// to issuing the same requests sequentially. Do is the same path with one
+// entry. The batch fails on its first error, which is returned.
 func (e *Engine) DoBatch(ctx context.Context, base Request, sources []int) ([]*Response, error) {
 	inner, err := e.eng.DoBatch(ctx, base.toEngine(), sources)
 	if err != nil {
