@@ -525,7 +525,7 @@ var (
 )
 
 // BenchmarkLoadIndexStream measures the portable streaming parse of a saved
-// snapshot — the cold-start cost -mmap exists to avoid.
+// snapshot — the cold-start cost the mmap open exists to avoid.
 func BenchmarkLoadIndexStream(b *testing.B) {
 	g, path := snapshotFixture(b)
 	st, err := os.Stat(path)
@@ -565,7 +565,7 @@ func BenchmarkOpenSnapshotMmap(b *testing.B) {
 }
 
 // BenchmarkOpenSnapshotSelfContained measures the full serving cold start
-// off one v3 file: graph CSR validation plus index assembly, no edge list
+// off one snapshot: graph CSR validation plus index assembly, no edge list
 // involved. This is the number the hot-reload path pays per swap.
 func BenchmarkOpenSnapshotSelfContained(b *testing.B) {
 	_, path := snapshotFixture(b)

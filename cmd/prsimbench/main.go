@@ -20,9 +20,9 @@
 // (150k nodes with -full, 30k without).
 //
 // The loadtime experiment benchmarks the full serving cold start (graph +
-// index): the edge-list parse + v2-era index loaders against the
-// self-contained v3 snapshot, which maps both out of one file (use -full for
-// the ≥100k-node configuration).
+// index): an edge-list parse plus a streamed or mapped index against the
+// self-contained snapshot, which maps both out of one file (use -full for the
+// ≥100k-node configuration).
 package main
 
 import (
@@ -279,12 +279,12 @@ func runBackwardWalk(cfg eval.Config) error {
 }
 
 func runLoadTime(cfg eval.Config) error {
-	fmt.Println("=== Cold start: edge-list parse + v2 index vs self-contained v3 snapshot ===")
+	fmt.Println("=== Cold start: edge-list parse + index vs self-contained snapshot ===")
 	res, err := eval.RunLoadTime(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("graph: %d nodes, %d edges; v3 snapshot: %.2f MB\n",
+	fmt.Printf("graph: %d nodes, %d edges; snapshot: %.2f MB\n",
 		res.Nodes, res.Edges, float64(res.IndexBytes)/(1<<20))
 	w, flush := newTable("mode", "cold start (ms)", "speedup", "first query (ms)")
 	defer flush()

@@ -7,19 +7,19 @@
 //	prsimquery -dataset DB -source 7 -epsilon 0.05
 //	prsimquery -generate powerlaw -n 10000 -gamma 2.5 -source 0
 //	prsimquery -graph graph.txt -saveindex idx.prsim        # preprocessing only
-//	prsimquery -graph graph.txt -loadindex idx.prsim -source 3
-//	prsimquery -graph graph.txt -loadindex idx.prsim -mmap -source 3
-//	prsimquery -loadindex idx.prsim -source 3               # self-contained v3
+//	prsimquery -loadindex idx.prsim -source 3               # graph + index, one mmap
 //	prsimquery -loadindex idx.prsim -source 3 -epsilon 0.4  # faster, coarser
 //	prsimquery -graph graph.txt -algorithm ProbeSim -source 3
 //	prsimquery -server http://localhost:8080 -source 3      # query a prsimserve
 //	prsimquery -server http://localhost:8080 -graphname web -class batch -source 3
 //
-// When an index is loaded (-loadindex), -epsilon becomes a per-request
-// accuracy target threaded through the request plane: larger values answer
-// faster with proportionally fewer walks, values below the index's build
-// epsilon are clamped up to it with a warning. -timeout bounds the query's
-// wall-clock time (the deadline is checked at round boundaries).
+// A -loadindex snapshot (v4, or v3) carries its own graph, so for PRSim it is
+// never combined with -graph, -dataset or -generate; v1/v2 files are refused.
+// When an index is loaded, -epsilon becomes a per-request accuracy target
+// threaded through the request plane: larger values answer faster with
+// proportionally fewer walks, values below the index's build epsilon are
+// clamped up to it with a warning. -timeout bounds the query's wall-clock
+// time (the deadline is checked at round boundaries).
 package main
 
 import (
@@ -55,8 +55,7 @@ func main() {
 		source    = flag.Int("source", -1, "query node (omit to only build the index)")
 		topK      = flag.Int("topk", 20, "number of results to print")
 		saveIndex = flag.String("saveindex", "", "write the built index to this file")
-		loadIndex = flag.String("loadindex", "", "load a previously saved index instead of building one")
-		useMmap   = flag.Bool("mmap", false, "open -loadindex as a zero-copy mmap snapshot")
+		loadIndex = flag.String("loadindex", "", "open a saved snapshot (graph and index, memory-mapped) instead of building an index")
 		algorithm = flag.String("algorithm", "PRSim", "algorithm to use (PRSim, SLING, ProbeSim, READS, TSF, TopSim, MonteCarlo)")
 		server    = flag.String("server", "", "query a running prsimserve over its /v1 HTTP API instead of loading anything locally (base URL, e.g. http://localhost:8080)")
 		graphName = flag.String("graphname", "", "with -server, the mounted graph to query (empty = the server's default graph)")
@@ -79,8 +78,7 @@ func main() {
 		graphPath: *graphPath, dataset: *dsName, generate: *generate, n: *n, avgDeg: *avgDeg,
 		gamma: *gamma, directed: *directed, epsilon: *epsilon, epsilonSet: epsilonSet,
 		decay: *decay, seed: *seed, scale: *scale, source: *source, topK: *topK,
-		saveIndex: *saveIndex, loadIndex: *loadIndex, timeout: *timeout,
-		mmap: *useMmap, algorithm: *algorithm,
+		saveIndex: *saveIndex, loadIndex: *loadIndex, timeout: *timeout, algorithm: *algorithm,
 		server: *server, graphName: *graphName, class: *class, adaptive: *adaptive,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "prsimquery: %v\n", err)
@@ -100,7 +98,6 @@ type config struct {
 	source, topK                 int
 	saveIndex, loadIndex         string
 	timeout                      time.Duration
-	mmap                         bool
 	algorithm                    string
 	server, graphName, class     string
 	adaptive                     string
@@ -124,49 +121,32 @@ func run(cfg config) error {
 	if cfg.server != "" {
 		return runRemote(cfg)
 	}
-	// A self-contained v3 snapshot carries its own graph: with -loadindex and
-	// no graph source, both come out of the one file.
-	selfContained := cfg.loadIndex != "" && cfg.graphPath == "" && cfg.dataset == "" && cfg.generate == "" &&
-		(cfg.algorithm == "PRSim" || cfg.algorithm == "prsim")
+	isPRSim := cfg.algorithm == "PRSim" || cfg.algorithm == "prsim"
+	// A snapshot carries its own graph: with -loadindex, graph and index both
+	// come out of the one file, and a second graph source could only disagree.
+	fromSnapshot := isPRSim && cfg.loadIndex != ""
+	if fromSnapshot && (cfg.graphPath != "" || cfg.dataset != "" || cfg.generate != "") {
+		return fmt.Errorf("-loadindex snapshots carry their own graph; drop -graph, -dataset and -generate")
+	}
 	var g *prsim.Graph
 	var err error
-	if !selfContained {
-		g, err = loadGraph(cfg)
-		if err != nil {
+	if !fromSnapshot {
+		if g, err = loadGraph(cfg); err != nil {
 			return err
 		}
-		fmt.Printf("graph: %d nodes, %d edges, average degree %.2f\n", g.NumNodes(), g.NumEdges(), g.AverageDegree())
-		if gamma, ok := g.OutDegreeExponent(); ok {
-			fmt.Printf("fitted out-degree power-law exponent gamma = %.2f\n", gamma)
-		}
+		printGraph(g)
 	}
-
-	if cfg.algorithm != "PRSim" && cfg.algorithm != "prsim" {
+	if !isPRSim {
 		return runBaseline(cfg, g)
 	}
 
 	var idx *prsim.Index
-	if cfg.loadIndex != "" {
-		switch {
-		case selfContained:
-			idx, err = prsim.OpenSnapshot(cfg.loadIndex, nil)
-			if err != nil {
-				return err
-			}
-			g = idx.Graph()
-			fmt.Printf("graph: %d nodes, %d edges, average degree %.2f\n", g.NumNodes(), g.NumEdges(), g.AverageDegree())
-			if gamma, ok := g.OutDegreeExponent(); ok {
-				fmt.Printf("fitted out-degree power-law exponent gamma = %.2f\n", gamma)
-			}
-		case cfg.mmap:
-			idx, err = prsim.OpenSnapshot(cfg.loadIndex, g)
-		default:
-			idx, err = prsim.LoadIndexFile(cfg.loadIndex, g)
-		}
-		if err != nil {
+	if fromSnapshot {
+		if idx, err = prsim.OpenSnapshot(cfg.loadIndex, nil); err != nil {
 			return err
 		}
 		defer idx.Close()
+		printGraph(idx.Graph())
 		fmt.Printf("loaded index: %d hubs, %.2f MB\n", idx.NumHubs(), float64(idx.SizeBytes())/(1<<20))
 	} else {
 		idx, err = prsim.BuildIndex(g, prsim.Options{
@@ -444,6 +424,13 @@ func loadGraph(cfg config) (*prsim.Graph, error) {
 		return prsim.GenerateERGraph(cfg.n, cfg.avgDeg, cfg.directed, cfg.seed)
 	default:
 		return nil, fmt.Errorf("specify one of -graph, -dataset or -generate")
+	}
+}
+
+func printGraph(g *prsim.Graph) {
+	fmt.Printf("graph: %d nodes, %d edges, average degree %.2f\n", g.NumNodes(), g.NumEdges(), g.AverageDegree())
+	if gamma, ok := g.OutDegreeExponent(); ok {
+		fmt.Printf("fitted out-degree power-law exponent gamma = %.2f\n", gamma)
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -67,10 +68,15 @@ func TestRunSaveAndLoadIndex(t *testing.T) {
 	if _, err := os.Stat(idxPath); err != nil {
 		t.Fatalf("index file missing: %v", err)
 	}
-	load := base
-	load.loadIndex = idxPath
-	load.source = 7
+	// The snapshot carries its own graph; a second graph source is refused.
+	load := config{loadIndex: idxPath, source: 7, topK: 5, algorithm: "PRSim"}
 	if err := run(load); err != nil {
 		t.Fatalf("run load: %v", err)
+	}
+	withGraph := base
+	withGraph.loadIndex = idxPath
+	withGraph.source = 7
+	if err := run(withGraph); err == nil || !strings.Contains(err.Error(), "carry their own graph") {
+		t.Errorf("run with -loadindex and -generate = %v, want a refusal", err)
 	}
 }

@@ -238,7 +238,6 @@ func TestV1AdminToken(t *testing.T) {
 	for _, tc := range []struct{ method, path, body string }{
 		{http.MethodPost, "/v1/graphs/default/edges", edgesBody},
 		{http.MethodPost, "/v1/graphs/default/reload", ""},
-		{http.MethodPost, "/reload", ""},
 		{http.MethodPut, "/v1/graphs/extra", `{"snapshot": "x"}`},
 		{http.MethodDelete, "/v1/graphs/extra", ""},
 	} {

@@ -4,10 +4,12 @@
 // them through a versioned, graph-scoped JSON API:
 //
 //	prsimquery -graph graph.txt -saveindex idx.prsim          # build once
-//	prsimserve -loadindex idx.prsim -addr :8080               # self-contained v3
+//	prsimserve -loadindex idx.prsim -addr :8080               # graph + index, one mmap
 //	prsimserve -loadindex idx.prsim -shards 4 -watch 2s       # sharded + hot reload
-//	prsimserve -graph graph.txt -loadindex idx.prsim -mmap    # v1/v2, zero-copy
 //	prsimserve -dataset DB -epsilon 0.1                       # build at startup
+//
+// A -loadindex snapshot (v4, or v3) carries its own graph, so it is never
+// combined with -graph or -dataset; v1/v2 files are refused at startup.
 //
 // The boot-time graph mounts under the name "default"; further graphs mount
 // and unmount at runtime through the admin endpoints. Each graph is served
@@ -43,10 +45,6 @@
 // "batch"), graph (body/param alternative to the path) — as URL parameters
 // on GET or a JSON body on POST. Errors share one envelope:
 // {"error":{"code":..., "message":..., "retry_after_ms":...}}.
-//
-// The pre-/v1 routes (/query, /topk, /pair, /reload, /stats) remain as
-// aliases for the default graph; they answer with a Deprecation header and a
-// Link to their successor. New clients should use /v1.
 //
 // Hot reload: with -watch the default graph's snapshot file is polled and a
 // change swaps in the re-opened snapshot on every shard without dropping
@@ -88,11 +86,10 @@ import (
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.graphPath, "graph", "", "edge-list file to load (not needed for self-contained v3 snapshots)")
-	flag.StringVar(&cfg.dataset, "dataset", "", "benchmark dataset stand-in to generate (DB, LJ, IT, TW, UK)")
-	flag.StringVar(&cfg.loadIndex, "loadindex", "", "saved index file to load (skips preprocessing)")
-	flag.BoolVar(&cfg.mmap, "mmap", false, "open -loadindex as a zero-copy mmap snapshot (near-instant start, shared page cache)")
-	flag.BoolVar(&cfg.mmapVerify, "mmapverify", false, "with -mmap, verify the snapshot checksum at startup (reads the whole file once)")
+	flag.StringVar(&cfg.graphPath, "graph", "", "edge-list file to build an index over at startup (not with -loadindex)")
+	flag.StringVar(&cfg.dataset, "dataset", "", "benchmark dataset stand-in to generate and index at startup (DB, LJ, IT, TW, UK; not with -loadindex)")
+	flag.StringVar(&cfg.loadIndex, "loadindex", "", "saved snapshot to serve: graph and index are memory-mapped out of the one file (skips preprocessing)")
+	flag.BoolVar(&cfg.mmapVerify, "mmapverify", false, "verify the -loadindex snapshot checksum at every open (reads the whole file once)")
 	flag.DurationVar(&cfg.watch, "watch", 0, "poll -loadindex for changes at this interval and hot-swap on change (0 disables)")
 	flag.Float64Var(&cfg.epsilon, "epsilon", 0.1, "additive error target when building an index")
 	flag.Float64Var(&cfg.decay, "decay", prsim.DefaultDecay, "SimRank decay factor c")
@@ -180,7 +177,7 @@ func main() {
 type config struct {
 	graphPath, dataset string
 	loadIndex          string
-	mmap, mmapVerify   bool
+	mmapVerify         bool
 	watch              time.Duration
 	verifyEvery        time.Duration
 	epsilon, decay     float64
@@ -214,7 +211,6 @@ var remoteTransport http.RoundTripper
 // demand through the admin API.
 type server struct {
 	cfg      config
-	g        *prsim.Graph // startup graph; nil when serving a self-contained snapshot
 	reg      *prsim.Registry
 	def      *prsim.Served // the default graph's serving handle
 	start    time.Time
@@ -250,29 +246,30 @@ type server struct {
 	stop chan struct{}
 }
 
-// buildServer loads the graph (unless the snapshot is self-contained) and
-// mounts the boot-time index under the default graph name.
+// buildServer opens the -loadindex snapshot, or loads a graph and builds its
+// index, and mounts the result under the default graph name.
 func buildServer(cfg config) (*server, error) {
 	var g *prsim.Graph
 	var err error
 	switch {
+	case cfg.loadIndex != "" && (cfg.graphPath != "" || cfg.dataset != ""):
+		// The snapshot embeds the graph its index was built from; a second
+		// graph source could only disagree with it.
+		return nil, fmt.Errorf("-loadindex snapshots carry their own graph; drop -graph and -dataset")
+	case cfg.loadIndex != "":
+		// The graph comes out of the snapshot file itself.
 	case cfg.graphPath != "":
 		g, err = prsim.LoadGraphFile(cfg.graphPath)
 	case cfg.dataset != "":
 		g, err = prsim.LoadDataset(cfg.dataset)
-	case cfg.loadIndex != "":
-		// Self-contained snapshot: the graph comes out of the file itself.
 	default:
-		return nil, fmt.Errorf("specify -graph, -dataset, or a self-contained v3 -loadindex")
+		return nil, fmt.Errorf("specify -loadindex, -graph, or -dataset")
 	}
 	if err != nil {
 		return nil, err
 	}
 	if cfg.watch > 0 && cfg.loadIndex == "" {
 		return nil, fmt.Errorf("-watch requires -loadindex (a snapshot file to watch)")
-	}
-	if cfg.mmap && cfg.loadIndex == "" {
-		return nil, fmt.Errorf("-mmap requires -loadindex (a saved snapshot file to map)")
 	}
 
 	// Capture the snapshot file's identity before opening it, mirroring
@@ -292,7 +289,7 @@ func buildServer(cfg config) (*server, error) {
 		timeout = 30 * time.Second
 	}
 	s := &server{
-		cfg: cfg, g: g, reg: reg, def: def,
+		cfg: cfg, reg: reg, def: def,
 		start: time.Now(), timeout: timeout,
 		loadTime: loadTime, lastLoadTime: loadTime, lastLoadAt: time.Now(),
 		mutators: make(map[string]*mutator),
@@ -310,40 +307,25 @@ func (c config) graphConfig() prsim.GraphConfig {
 	}
 }
 
-// openIndex loads, maps, or builds the index per the configuration. g may be
-// nil only when loading a self-contained snapshot.
+// openIndex builds the index over g, or — with -loadindex — opens the
+// snapshot zero-copy, graph included, layering a published edge-update delta
+// over the base when one exists next to the file (streaming on platforms
+// without mmap).
 func openIndex(cfg config, g *prsim.Graph) (*prsim.Index, error) {
-	switch {
-	case cfg.loadIndex != "" && g == nil:
-		// Self-contained zero-copy open, layering a published edge-update
-		// delta over the base when one exists next to the file. Falls back to
-		// streaming on unsupported platforms.
-		idx, err := openSnapshotAuto(cfg.loadIndex)
-		if err == nil && cfg.mmapVerify {
-			if verr := idx.Verify(); verr != nil {
-				idx.Close()
-				return nil, verr
-			}
-		}
-		return idx, err
-	case cfg.loadIndex != "" && cfg.mmap:
-		// Zero-copy snapshot open against a separately supplied graph.
-		idx, err := prsim.OpenSnapshot(cfg.loadIndex, g)
-		if err == nil && cfg.mmapVerify {
-			if verr := idx.Verify(); verr != nil {
-				idx.Close()
-				return nil, verr
-			}
-		}
-		return idx, err
-	case cfg.loadIndex != "":
-		return prsim.LoadIndexFile(cfg.loadIndex, g)
-	default:
+	if cfg.loadIndex == "" {
 		return prsim.BuildIndex(g, prsim.Options{
 			Decay: cfg.decay, Epsilon: cfg.epsilon, Seed: cfg.seed,
 			SampleScale: cfg.scale, MaxLevels: cfg.maxLevels,
 		})
 	}
+	idx, err := openSnapshotAuto(cfg.loadIndex)
+	if err == nil && cfg.mmapVerify {
+		if verr := idx.Verify(); verr != nil {
+			idx.Close()
+			return nil, verr
+		}
+	}
+	return idx, err
 }
 
 // reloadInfo summarizes one successful reload for the admin response; it is
@@ -528,18 +510,16 @@ func (s *server) watch(every time.Duration) {
 	}
 }
 
-// route is one entry of the declarative route table. successor, when set,
-// marks a legacy route: responses carry a Deprecation header and a Link to
-// the /v1 replacement. The table — not just the mux — is the HTTP surface
-// contract, pinned by the API-surface snapshot test.
+// route is one entry of the declarative route table. The table — not just
+// the mux — is the HTTP surface contract, pinned by the API-surface snapshot
+// test.
 type route struct {
-	pattern   string
-	handler   http.HandlerFunc
-	successor string
+	pattern string
+	handler http.HandlerFunc
 }
 
 // routes returns the full route table: the /v1 graph-scoped surface, the
-// admin plane, and the deprecated unversioned aliases for the default graph.
+// admin plane, and the unversioned liveness probe.
 func (s *server) routes() []route {
 	return []route{
 		// v1 query plane (graph-scoped).
@@ -558,59 +538,29 @@ func (s *server) routes() []route {
 		{pattern: "DELETE /v1/graphs/{graph}", handler: s.admin(s.handleUnmount)},
 		{pattern: "GET /v1/stats", handler: s.handleServerStats},
 		{pattern: "GET /v1/healthz", handler: s.handleHealthz},
-		// Legacy unversioned aliases: the default graph's endpoints under
-		// their pre-/v1 paths, answered with a deprecation notice.
-		{pattern: "GET /query", handler: s.handleQuery, successor: "/v1/graphs/default/query"},
-		{pattern: "POST /query", handler: s.handleQuery, successor: "/v1/graphs/default/query"},
-		{pattern: "GET /topk", handler: s.handleTopK, successor: "/v1/graphs/default/topk"},
-		{pattern: "POST /topk", handler: s.handleTopK, successor: "/v1/graphs/default/topk"},
-		{pattern: "GET /pair", handler: s.handlePair, successor: "/v1/graphs/default/pair"},
-		{pattern: "POST /reload", handler: s.admin(s.handleReload), successor: "/v1/graphs/default/reload"},
-		{pattern: "GET /stats", handler: s.handleGraphStats, successor: "/v1/graphs/default/stats"},
 		{pattern: "GET /healthz", handler: s.handleHealthz},
 	}
 }
 
-// handler builds the mux from the route table, wrapping deprecated routes
-// with RFC 8594-style headers so clients can discover the migration without
-// breaking.
+// handler builds the mux from the route table.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
-		h := rt.handler
-		if rt.successor != "" {
-			succ := rt.successor
-			inner := h
-			h = func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Deprecation", "true")
-				w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", succ))
-				inner(w, r)
-			}
-		}
-		mux.HandleFunc(rt.pattern, h)
+		mux.HandleFunc(rt.pattern, rt.handler)
 	}
 	return mux
 }
 
 // servedFor resolves the logical graph a request addresses: the {graph} path
-// segment when present (the /v1 surface), else the request's graph knob
-// (JSON body or URL parameter), else the default graph. A body graph that
-// contradicts the path is a client error. On failure the error response has
-// already been written.
+// segment. The request's graph knob (JSON body or URL parameter) may repeat
+// it; one that contradicts the path is a client error. On failure the error
+// response has already been written.
 func (s *server) servedFor(w http.ResponseWriter, r *http.Request, apiGraph string) (*prsim.Served, string, bool) {
 	name := r.PathValue("graph")
-	if apiGraph != "" {
-		if name != "" && name != apiGraph {
-			writeError(w, http.StatusBadRequest, codeInvalidArgument,
-				fmt.Sprintf("graph %q in request body contradicts graph %q in path", apiGraph, name))
-			return nil, "", false
-		}
-		if name == "" {
-			name = apiGraph
-		}
-	}
-	if name == "" {
-		name = prsim.DefaultGraph
+	if apiGraph != "" && apiGraph != name {
+		writeError(w, http.StatusBadRequest, codeInvalidArgument,
+			fmt.Sprintf("graph %q in request body contradicts graph %q in path", apiGraph, name))
+		return nil, "", false
 	}
 	sv, err := s.reg.Get(name)
 	if err != nil {
@@ -995,9 +945,6 @@ func (s *server) handlePair(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("graph")
-	if name == "" {
-		name = prsim.DefaultGraph
-	}
 	if name == prsim.DefaultGraph {
 		// The default graph reloads through the watcher's bookkeeping (file
 		// identity, load timing) and requires an on-disk snapshot.
@@ -1398,7 +1345,7 @@ func (s *server) graphStatsPayload(sv *prsim.Served, name string) map[string]any
 		"swaps":          est.Swaps,
 		"last_load_at":   lastLoadAt.UTC().Format(time.RFC3339),
 		"watch_seconds":  s.cfg.watch.Seconds(),
-		"self_contained": s.g == nil,
+		"self_contained": s.cfg.loadIndex != "",
 	}
 	s.verifyMu.Lock()
 	verify := map[string]any{

@@ -19,45 +19,26 @@ import (
 	"prsim"
 )
 
-// newTestServer writes a graph and a saved index to disk, then boots the
-// server through the same buildServer path main uses, exercising the
-// load-index-at-startup flow end to end.
+// newTestServer saves an index to disk, then boots the server on it through
+// the same buildServer path main uses, exercising the load-index-at-startup
+// flow end to end.
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	return newTestServerMmap(t, false)
-}
-
-func newTestServerMmap(t *testing.T, mmap bool) *httptest.Server {
-	t.Helper()
-	dir := t.TempDir()
 	g, err := prsim.GeneratePowerLawGraph(150, 6, 2.5, true, 5)
 	if err != nil {
 		t.Fatalf("GeneratePowerLawGraph: %v", err)
-	}
-	graphPath := filepath.Join(dir, "graph.txt")
-	f, err := os.Create(graphPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WriteEdgeList(f); err != nil {
-		t.Fatalf("WriteEdgeList: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 	idx, err := prsim.BuildIndex(g, prsim.Options{Epsilon: 0.25, Seed: 3, SampleScale: 0.05})
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	indexPath := filepath.Join(dir, "idx.prsim")
+	indexPath := filepath.Join(t.TempDir(), "idx.prsim")
 	if err := idx.SaveFile(indexPath); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
 
 	srv, err := buildServer(config{
-		graphPath: graphPath,
 		loadIndex: indexPath,
-		mmap:      mmap,
 		workers:   4,
 		cacheSize: 16,
 		timeout:   10 * time.Second,
@@ -91,7 +72,7 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 func TestServeQuery(t *testing.T) {
 	ts := newTestServer(t)
 	var res queryResultJSON
-	resp := getJSON(t, ts.URL+"/query?u=3", &res)
+	resp := getJSON(t, ts.URL+"/v1/graphs/default/query?u=3", &res)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -113,7 +94,7 @@ func TestServeQuery(t *testing.T) {
 
 	// limit caps the rendered nodes but Support still reports the full count.
 	var limited queryResultJSON
-	getJSON(t, ts.URL+"/query?u=3&limit=2", &limited)
+	getJSON(t, ts.URL+"/v1/graphs/default/query?u=3&limit=2", &limited)
 	if len(limited.Scores) != 2 {
 		t.Errorf("limit=2 returned %d scores", len(limited.Scores))
 	}
@@ -127,7 +108,7 @@ func TestServeQueryBatch(t *testing.T) {
 	var batch struct {
 		Results []queryResultJSON `json:"results"`
 	}
-	resp := getJSON(t, ts.URL+"/query?u=1&u=7&u=1", &batch)
+	resp := getJSON(t, ts.URL+"/v1/graphs/default/query?u=1&u=7&u=1", &batch)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -152,7 +133,7 @@ func TestServeTopK(t *testing.T) {
 		K      int              `json:"k"`
 		Top    []scoredNodeJSON `json:"top"`
 	}
-	resp := getJSON(t, ts.URL+"/topk?u=5&k=7", &res)
+	resp := getJSON(t, ts.URL+"/v1/graphs/default/topk?u=5&k=7", &res)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -176,7 +157,7 @@ func TestServePair(t *testing.T) {
 		V     int     `json:"v"`
 		Score float64 `json:"score"`
 	}
-	resp := getJSON(t, ts.URL+"/pair?u=4&v=4", &res)
+	resp := getJSON(t, ts.URL+"/v1/graphs/default/pair?u=4&v=4", &res)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -194,8 +175,8 @@ func TestServeHealthzAndStats(t *testing.T) {
 	}
 
 	// Serve a couple of queries so the counters move.
-	getJSON(t, ts.URL+"/query?u=2", nil)
-	getJSON(t, ts.URL+"/query?u=2", nil)
+	getJSON(t, ts.URL+"/v1/graphs/default/query?u=2", nil)
+	getJSON(t, ts.URL+"/v1/graphs/default/query?u=2", nil)
 
 	var stats struct {
 		Graph    map[string]any     `json:"graph"`
@@ -203,24 +184,22 @@ func TestServeHealthzAndStats(t *testing.T) {
 		Snapshot map[string]any     `json:"snapshot"`
 		Engine   map[string]float64 `json:"engine"`
 	}
-	resp = getJSON(t, ts.URL+"/stats", &stats)
+	resp = getJSON(t, ts.URL+"/v1/graphs/default/stats", &stats)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status = %d", resp.StatusCode)
 	}
 	if stats.Graph["nodes"] != float64(150) {
 		t.Errorf("stats nodes = %v, want 150", stats.Graph["nodes"])
 	}
-	if b := stats.Graph["backing"]; b != "heap" {
-		t.Errorf("stats graph backing = %v, want heap for a parsed edge list", b)
+	// Graph and index come out of one snapshot open, so they share a backing.
+	if gb, ib := stats.Graph["backing"], stats.Index["backing"]; gb != ib || (gb != "mmap" && gb != "heap") {
+		t.Errorf("stats backings: graph %v, index %v; want both mmap or both heap", gb, ib)
 	}
 	if gen := stats.Snapshot["generation"]; gen != float64(0) {
 		t.Errorf("stats generation = %v, want 0 before any reload", gen)
 	}
 	if hubs, _ := stats.Index["hubs"].(float64); hubs <= 0 {
 		t.Errorf("stats hubs = %v, want > 0", stats.Index["hubs"])
-	}
-	if stats.Index["backing"] != "heap" {
-		t.Errorf("stats backing = %v, want heap for a streaming load", stats.Index["backing"])
 	}
 	if stats.Engine["queries"] < 2 {
 		t.Errorf("stats queries = %v, want >= 2", stats.Engine["queries"])
@@ -230,50 +209,34 @@ func TestServeHealthzAndStats(t *testing.T) {
 	}
 }
 
-// TestServeMmapBacking boots the server with -mmap and checks queries work
-// and /stats reports the mmap backing.
+// TestServeMmapBacking checks that -loadindex serves graph and index zero-copy
+// out of the snapshot mapping: queries work and /stats reports the backing
+// prsim.OpenSnapshot gives the same file (mmap, or heap on platforms without
+// zero-copy support).
 func TestServeMmapBacking(t *testing.T) {
-	ts := newTestServerMmap(t, true)
+	_, ts, _, path := newSelfContainedServer(t)
 	var res queryResultJSON
-	if resp := getJSON(t, ts.URL+"/query?u=2", &res); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, ts.URL+"/v1/graphs/default/query?u=2", &res); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status = %d", resp.StatusCode)
 	}
 	if res.Source != 2 {
 		t.Errorf("query source = %d, want 2", res.Source)
 	}
+	direct, err := prsim.OpenSnapshot(path, nil)
+	if err != nil {
+		t.Fatalf("OpenSnapshot: %v", err)
+	}
+	defer direct.Close()
 	var stats struct {
+		Graph map[string]any `json:"graph"`
 		Index map[string]any `json:"index"`
 	}
-	getJSON(t, ts.URL+"/stats", &stats)
-	// On platforms without zero-copy support the open falls back to the
-	// streaming loader and reports heap; both are valid outcomes, but the
-	// field must be present.
-	if b := stats.Index["backing"]; b != "mmap" && b != "heap" {
-		t.Errorf("stats backing = %v, want mmap or heap", b)
+	getJSON(t, ts.URL+"/v1/graphs/default/stats", &stats)
+	if b := stats.Index["backing"]; b != direct.Backing() {
+		t.Errorf("stats index backing = %v, want %s", b, direct.Backing())
 	}
-}
-
-// TestServeMmapRequiresLoadIndex checks -mmap without -loadindex is rejected
-// at startup.
-func TestServeMmapRequiresLoadIndex(t *testing.T) {
-	g, err := prsim.GeneratePowerLawGraph(50, 4, 2.5, true, 5)
-	if err != nil {
-		t.Fatalf("GeneratePowerLawGraph: %v", err)
-	}
-	dir := t.TempDir()
-	graphPath := filepath.Join(dir, "graph.txt")
-	f, err := os.Create(graphPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WriteEdgeList(f); err != nil {
-		t.Fatalf("WriteEdgeList: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := buildServer(config{graphPath: graphPath, mmap: true}); err == nil {
-		t.Fatal("expected -mmap without -loadindex to fail")
+	if b := stats.Graph["backing"]; b != direct.GraphBacking() {
+		t.Errorf("stats graph backing = %v, want %s", b, direct.GraphBacking())
 	}
 }
 
@@ -283,13 +246,13 @@ func TestServeErrors(t *testing.T) {
 		path string
 		want int
 	}{
-		{"/query", http.StatusBadRequest},              // missing u
-		{"/query?u=abc", http.StatusBadRequest},        // non-integer
-		{"/query?u=99999", http.StatusBadRequest},      // out of range
-		{"/query?u=1&limit=-2", http.StatusBadRequest}, // bad limit
-		{"/topk?u=1&k=0", http.StatusBadRequest},       // bad k
-		{"/pair?u=1", http.StatusBadRequest},           // missing v
-		{"/pair?u=1&v=99999", http.StatusBadRequest},   // out of range
+		{"/v1/graphs/default/query", http.StatusBadRequest},              // missing u
+		{"/v1/graphs/default/query?u=abc", http.StatusBadRequest},        // non-integer
+		{"/v1/graphs/default/query?u=99999", http.StatusBadRequest},      // out of range
+		{"/v1/graphs/default/query?u=1&limit=-2", http.StatusBadRequest}, // bad limit
+		{"/v1/graphs/default/topk?u=1&k=0", http.StatusBadRequest},       // bad k
+		{"/v1/graphs/default/pair?u=1", http.StatusBadRequest},           // missing v
+		{"/v1/graphs/default/pair?u=1&v=99999", http.StatusBadRequest},   // out of range
 	}
 	for _, c := range cases {
 		var body struct {
@@ -305,8 +268,11 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
-// TestServeIndexGraphMismatch checks the startup path rejects an index saved
-// for a different graph.
+// TestServeIndexGraphMismatch checks the startup path never serves a snapshot
+// against a graph other than the one embedded in it: -loadindex combined with
+// -graph or -dataset is refused, whether the supplied graph is a different one
+// (an 80-node edge list or the DB stand-in against a 50-node index) or the
+// snapshot's own.
 func TestServeIndexGraphMismatch(t *testing.T) {
 	dir := t.TempDir()
 	small, err := prsim.GeneratePowerLawGraph(50, 4, 2.5, true, 1)
@@ -325,23 +291,34 @@ func TestServeIndexGraphMismatch(t *testing.T) {
 	if err := idx.SaveFile(indexPath); err != nil {
 		t.Fatal(err)
 	}
-	graphPath := filepath.Join(dir, "big.txt")
-	f, err := os.Create(graphPath)
-	if err != nil {
-		t.Fatal(err)
+	writeGraph := func(name string, g *prsim.Graph) string {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.WriteEdgeList(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if err := big.WriteEdgeList(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := buildServer(config{graphPath: graphPath, loadIndex: indexPath}); err == nil {
-		t.Fatal("expected index/graph mismatch error")
+	for _, cfg := range []config{
+		{graphPath: writeGraph("big.txt", big), loadIndex: indexPath},
+		{graphPath: writeGraph("small.txt", small), loadIndex: indexPath},
+		{dataset: "DB", loadIndex: indexPath},
+	} {
+		if _, err := buildServer(cfg); err == nil || !strings.Contains(err.Error(), "carry their own graph") {
+			t.Errorf("buildServer(graph %q, dataset %q, loadindex) = %v, want a refusal", cfg.graphPath, cfg.dataset, err)
+		}
 	}
 }
 
 func TestBuildServerNoGraph(t *testing.T) {
 	if _, err := buildServer(config{}); err == nil {
-		t.Fatal("expected error when neither -graph nor -dataset given")
+		t.Fatal("expected error when none of -loadindex, -graph and -dataset is given")
 	}
 }
 
@@ -363,8 +340,8 @@ func writeSnapshot(t *testing.T, g *prsim.Graph, path string, seed uint64) {
 	}
 }
 
-// newSelfContainedServer boots the server from a v3 snapshot alone — no
-// graph flag — and returns the server plus the snapshot path for reloads.
+// newSelfContainedServer boots the server from a snapshot alone — no graph
+// flag — and returns the server plus the snapshot path for reloads.
 func newSelfContainedServer(t *testing.T) (*server, *httptest.Server, *prsim.Graph, string) {
 	t.Helper()
 	g, err := prsim.GeneratePowerLawGraph(150, 6, 2.5, true, 5)
@@ -388,12 +365,12 @@ func newSelfContainedServer(t *testing.T) (*server, *httptest.Server, *prsim.Gra
 	return srv, ts, g, path
 }
 
-// TestServeSelfContained starts the server from a v3 snapshot with no
-// edge-list file at all and checks queries and the reported backings.
+// TestServeSelfContained starts the server from a snapshot with no edge-list
+// file at all and checks queries and the reported backings.
 func TestServeSelfContained(t *testing.T) {
 	_, ts, _, _ := newSelfContainedServer(t)
 	var res queryResultJSON
-	if resp := getJSON(t, ts.URL+"/query?u=3", &res); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, ts.URL+"/v1/graphs/default/query?u=3", &res); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status = %d", resp.StatusCode)
 	}
 	if res.Source != 3 || res.Support == 0 {
@@ -404,7 +381,7 @@ func TestServeSelfContained(t *testing.T) {
 		Index    map[string]any `json:"index"`
 		Snapshot map[string]any `json:"snapshot"`
 	}
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/graphs/default/stats", &stats)
 	if stats.Graph["nodes"] != float64(150) {
 		t.Errorf("stats nodes = %v, want 150", stats.Graph["nodes"])
 	}
@@ -421,17 +398,17 @@ func TestServeSelfContained(t *testing.T) {
 	}
 }
 
-// TestServeReload drives POST /reload: the generation increments, queries
-// keep working, and a server whose index was built at startup (no snapshot
-// file) refuses with 409.
+// TestServeReload drives POST /v1/graphs/default/reload: the generation
+// increments, queries keep working, and a server whose index was built at
+// startup (no snapshot file) refuses with 409.
 func TestServeReload(t *testing.T) {
 	_, ts, g, path := newSelfContainedServer(t)
 
 	// Publish a new snapshot (different seed → genuinely different index).
 	writeSnapshot(t, g, path, 2)
-	resp, err := http.Post(ts.URL+"/reload", "", nil)
+	resp, err := http.Post(ts.URL+"/v1/graphs/default/reload", "", nil)
 	if err != nil {
-		t.Fatalf("POST /reload: %v", err)
+		t.Fatalf("POST /v1/graphs/default/reload: %v", err)
 	}
 	var body map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
@@ -445,17 +422,17 @@ func TestServeReload(t *testing.T) {
 		t.Errorf("reload generation = %v, want 1", body["generation"])
 	}
 	var res queryResultJSON
-	if qr := getJSON(t, ts.URL+"/query?u=3", &res); qr.StatusCode != http.StatusOK {
+	if qr := getJSON(t, ts.URL+"/v1/graphs/default/query?u=3", &res); qr.StatusCode != http.StatusOK {
 		t.Fatalf("query after reload = %d", qr.StatusCode)
 	}
 
-	// GET on /reload must not trigger one (admin mutation is POST-only).
-	if getResp, err := http.Get(ts.URL + "/reload"); err != nil {
-		t.Fatalf("GET /reload: %v", err)
+	// GET on reload must not trigger one (admin mutation is POST-only).
+	if getResp, err := http.Get(ts.URL + "/v1/graphs/default/reload"); err != nil {
+		t.Fatalf("GET /v1/graphs/default/reload: %v", err)
 	} else {
 		getResp.Body.Close()
 		if getResp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("GET /reload status = %d, want 405", getResp.StatusCode)
+			t.Errorf("GET /v1/graphs/default/reload status = %d, want 405", getResp.StatusCode)
 		}
 	}
 
@@ -466,9 +443,9 @@ func TestServeReload(t *testing.T) {
 	}
 	bts := httptest.NewServer(built.handler())
 	defer bts.Close()
-	resp, err = http.Post(bts.URL+"/reload", "", nil)
+	resp, err = http.Post(bts.URL+"/v1/graphs/default/reload", "", nil)
 	if err != nil {
-		t.Fatalf("POST /reload (built): %v", err)
+		t.Fatalf("POST /v1/graphs/default/reload (built): %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
@@ -493,8 +470,8 @@ func TestServeReloadUnderLoad(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			urls := []string{
-				ts.URL + "/query?u=" + strconv.Itoa(c*17%150),
-				ts.URL + "/topk?u=" + strconv.Itoa(c*31%150) + "&k=5",
+				ts.URL + "/v1/graphs/default/query?u=" + strconv.Itoa(c*17%150),
+				ts.URL + "/v1/graphs/default/topk?u=" + strconv.Itoa(c*31%150) + "&k=5",
 			}
 			for i := 0; ; i++ {
 				select {
@@ -522,9 +499,9 @@ func TestServeReloadUnderLoad(t *testing.T) {
 	const reloads = 3
 	for r := 1; r <= reloads; r++ {
 		writeSnapshot(t, g, path, uint64(r+1))
-		resp, err := http.Post(ts.URL+"/reload", "", nil)
+		resp, err := http.Post(ts.URL+"/v1/graphs/default/reload", "", nil)
 		if err != nil {
-			t.Fatalf("POST /reload %d: %v", r, err)
+			t.Fatalf("POST /v1/graphs/default/reload %d: %v", r, err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -677,7 +654,7 @@ func TestServeRequestPlane(t *testing.T) {
 		Clamped bool    `json:"epsilon_clamped"`
 		Cached  bool    `json:"cached"`
 	}
-	resp := postJSON(t, ts.URL+"/query", `{"u": 3}`, &def)
+	resp := postJSON(t, ts.URL+"/v1/graphs/default/query", `{"u": 3}`, &def)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /query status = %d", resp.StatusCode)
 	}
@@ -690,7 +667,7 @@ func TestServeRequestPlane(t *testing.T) {
 		queryResultJSON
 		Epsilon float64 `json:"epsilon"`
 	}
-	postJSON(t, ts.URL+"/query", `{"u": 3, "epsilon": 0.75}`, &coarse)
+	postJSON(t, ts.URL+"/v1/graphs/default/query", `{"u": 3, "epsilon": 0.75}`, &coarse)
 	if coarse.Epsilon != 0.75 {
 		t.Fatalf("coarse epsilon echoed as %v, want 0.75", coarse.Epsilon)
 	}
@@ -703,7 +680,7 @@ func TestServeRequestPlane(t *testing.T) {
 		Epsilon float64 `json:"epsilon"`
 		Clamped bool    `json:"epsilon_clamped"`
 	}
-	getJSON(t, ts.URL+"/query?u=3&epsilon=0.05", &clamped)
+	getJSON(t, ts.URL+"/v1/graphs/default/query?u=3&epsilon=0.05", &clamped)
 	if !clamped.Clamped || clamped.Epsilon != 0.25 {
 		t.Fatalf("clamped GET = epsilon %v clamped %v, want 0.25/true", clamped.Epsilon, clamped.Clamped)
 	}
@@ -712,7 +689,7 @@ func TestServeRequestPlane(t *testing.T) {
 	var cached struct {
 		Cached bool `json:"cached"`
 	}
-	postJSON(t, ts.URL+"/query", `{"u": 3}`, &cached)
+	postJSON(t, ts.URL+"/v1/graphs/default/query", `{"u": 3}`, &cached)
 	if !cached.Cached {
 		t.Fatal("repeated identical request not served from cache")
 	}
@@ -724,7 +701,7 @@ func TestServeRequestPlane(t *testing.T) {
 		Epsilon float64          `json:"epsilon"`
 		Top     []scoredNodeJSON `json:"top"`
 	}
-	resp = postJSON(t, ts.URL+"/topk", `{"u": 5, "k": 4, "epsilon": 0.5, "timeout_ms": 5000}`, &top)
+	resp = postJSON(t, ts.URL+"/v1/graphs/default/topk", `{"u": 5, "k": 4, "epsilon": 0.5, "timeout_ms": 5000}`, &top)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /topk status = %d", resp.StatusCode)
 	}
@@ -740,7 +717,7 @@ func TestServeRequestPlane(t *testing.T) {
 		Results []queryResultJSON `json:"results"`
 		Epsilon float64           `json:"epsilon"`
 	}
-	postJSON(t, ts.URL+"/query", `{"sources": [1, 2], "epsilon": 0.5, "limit": 3}`, &batch)
+	postJSON(t, ts.URL+"/v1/graphs/default/query", `{"sources": [1, 2], "epsilon": 0.5, "limit": 3}`, &batch)
 	if len(batch.Results) != 2 || batch.Epsilon != 0.5 {
 		t.Fatalf("batch = %d results epsilon %v", len(batch.Results), batch.Epsilon)
 	}
@@ -753,9 +730,9 @@ func TestServeRequestPlane(t *testing.T) {
 	// Bad requests: invalid epsilon (400), malformed body (400), unknown
 	// field (400).
 	for _, tc := range []struct{ url, body string }{
-		{"/query", `{"u": 3, "epsilon": 2}`},
-		{"/query", `{"u": 3,`},
-		{"/query", `{"u": 3, "epsilom": 0.5}`},
+		{"/v1/graphs/default/query", `{"u": 3, "epsilon": 2}`},
+		{"/v1/graphs/default/query", `{"u": 3,`},
+		{"/v1/graphs/default/query", `{"u": 3, "epsilom": 0.5}`},
 	} {
 		resp, err := http.Post(ts.URL+tc.url, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -795,7 +772,7 @@ func TestWriteQueryErrorOverloaded(t *testing.T) {
 // coalescing counters plus the background-verify block.
 func TestServeStatsRequestPlane(t *testing.T) {
 	ts := newTestServer(t)
-	getJSON(t, ts.URL+"/query?u=1", nil)
+	getJSON(t, ts.URL+"/v1/graphs/default/query?u=1", nil)
 	var stats struct {
 		Engine struct {
 			Workers    int   `json:"workers"`
@@ -809,7 +786,7 @@ func TestServeStatsRequestPlane(t *testing.T) {
 			Runs int64 `json:"runs"`
 		} `json:"verify"`
 	}
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/graphs/default/stats", &stats)
 	if stats.Engine.MaxQueue <= 0 {
 		t.Fatalf("max_queue = %d, want positive default", stats.Engine.MaxQueue)
 	}
@@ -865,7 +842,7 @@ func TestServeBackgroundVerify(t *testing.T) {
 			Every      float64 `json:"every_seconds"`
 		} `json:"verify"`
 	}
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/graphs/default/stats", &stats)
 	if stats.Verify.Runs != 1 || !stats.Verify.LastOK {
 		t.Fatalf("after clean verify: %+v", stats.Verify)
 	}
@@ -888,7 +865,7 @@ func TestServeBackgroundVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.verifySnapshot()
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/graphs/default/stats", &stats)
 	if stats.Verify.Runs != 2 || stats.Verify.LastOK {
 		t.Fatalf("after corruption: %+v", stats.Verify)
 	}
@@ -921,11 +898,11 @@ func TestServeReloadKeepsWarmCache(t *testing.T) {
 	var first struct {
 		Cached bool `json:"cached"`
 	}
-	getJSON(t, ts.URL+"/query?u=3", &first)
+	getJSON(t, ts.URL+"/v1/graphs/default/query?u=3", &first)
 	if first.Cached {
 		t.Fatal("first query claims to be cached")
 	}
-	resp, err := http.Post(ts.URL+"/reload", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/v1/graphs/default/reload", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -939,7 +916,7 @@ func TestServeReloadKeepsWarmCache(t *testing.T) {
 			CacheEntries int   `json:"cache_entries"`
 		} `json:"engine"`
 	}
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/graphs/default/stats", &stats)
 	if stats.Engine.CacheReuses != 1 {
 		t.Fatalf("cache_reuses = %d after same-file reload, want 1", stats.Engine.CacheReuses)
 	}
@@ -949,7 +926,7 @@ func TestServeReloadKeepsWarmCache(t *testing.T) {
 	var again struct {
 		Cached bool `json:"cached"`
 	}
-	getJSON(t, ts.URL+"/query?u=3", &again)
+	getJSON(t, ts.URL+"/v1/graphs/default/query?u=3", &again)
 	if !again.Cached {
 		t.Fatal("post-reload repeat of a cached query missed the kept cache")
 	}
@@ -966,8 +943,8 @@ func TestServeParallelKnob(t *testing.T) {
 		Scores  []scoredNodeJSON `json:"scores"`
 	}
 	var serial, parallel queryResp
-	getJSON(t, ts.URL+"/query?u=3&parallel=1&nocache=1", &serial)
-	getJSON(t, ts.URL+"/query?u=3&parallel=4&nocache=1", &parallel)
+	getJSON(t, ts.URL+"/v1/graphs/default/query?u=3&parallel=1&nocache=1", &serial)
+	getJSON(t, ts.URL+"/v1/graphs/default/query?u=3&parallel=4&nocache=1", &parallel)
 	if serial.Support == 0 || serial.Support != parallel.Support {
 		t.Fatalf("support %d vs %d", serial.Support, parallel.Support)
 	}
@@ -978,7 +955,7 @@ func TestServeParallelKnob(t *testing.T) {
 	}
 
 	body := strings.NewReader(`{"u": 3, "parallelism": 4, "no_cache": true}`)
-	resp, err := http.Post(ts.URL+"/query", "application/json", body)
+	resp, err := http.Post(ts.URL+"/v1/graphs/default/query", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -991,7 +968,7 @@ func TestServeParallelKnob(t *testing.T) {
 		t.Fatalf("POST parallelism: status %d support %d", resp.StatusCode, post.Support)
 	}
 
-	resp, err = http.Get(ts.URL + "/query?u=3&parallel=x")
+	resp, err = http.Get(ts.URL + "/v1/graphs/default/query?u=3&parallel=x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1007,7 +984,7 @@ func TestServeParallelKnob(t *testing.T) {
 			ChunksMerged    int64 `json:"chunks_merged"`
 		} `json:"engine"`
 	}
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/graphs/default/stats", &stats)
 	if stats.Engine.ChunksExecuted == 0 || stats.Engine.ChunksExecuted != stats.Engine.ChunksMerged {
 		t.Fatalf("chunk counters executed=%d merged=%d", stats.Engine.ChunksExecuted, stats.Engine.ChunksMerged)
 	}
@@ -1086,7 +1063,7 @@ func TestServeVerifyRollback(t *testing.T) {
 			Generation uint64 `json:"generation"`
 		} `json:"snapshot"`
 	}
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/graphs/default/stats", &stats)
 	if stats.Verify.LastOK {
 		t.Fatal("corrupted mapping passed verification")
 	}
@@ -1101,12 +1078,12 @@ func TestServeVerifyRollback(t *testing.T) {
 	var q struct {
 		Support int `json:"support"`
 	}
-	getJSON(t, ts.URL+"/query?u=3", &q)
+	getJSON(t, ts.URL+"/v1/graphs/default/query?u=3", &q)
 	if q.Support == 0 {
 		t.Fatal("query against rolled-back snapshot returned nothing")
 	}
 	srv.verifySnapshot()
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/graphs/default/stats", &stats)
 	if !stats.Verify.LastOK {
 		t.Fatal("rolled-back snapshot failed verification")
 	}

@@ -48,7 +48,7 @@ type mutator struct {
 
 // refreshBase re-reads the on-disk base snapshot's generation stamps, the
 // gens future deltas are written against. Callers hold m.mu (or own m
-// exclusively). A pre-v4 or unreadable base simply disables delta publishing
+// exclusively). A v3 or unreadable base simply disables delta publishing
 // until the first full rewrite replaces it.
 func (m *mutator) refreshBase() {
 	m.baseOK = false
@@ -78,9 +78,8 @@ func (m *mutator) statsJSON() map[string]any {
 }
 
 // mutatorFor returns the named graph's mutator, creating it on first use. The
-// default graph publishes to the boot snapshot only when it is served
-// self-contained — with a separate -graph file the snapshot cannot be
-// round-tripped through a rewrite, so its updates stay in memory.
+// default graph publishes to the boot snapshot; one built at startup has no
+// snapshot, so its updates stay in memory.
 func (s *server) mutatorFor(name string) *mutator {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
@@ -88,7 +87,7 @@ func (s *server) mutatorFor(name string) *mutator {
 		return m
 	}
 	m := &mutator{}
-	if name == prsim.DefaultGraph && s.g == nil {
+	if name == prsim.DefaultGraph {
 		m.path = s.cfg.loadIndex
 	}
 	m.refreshBase()
@@ -218,9 +217,6 @@ type edgesBodyJSON struct {
 
 func (s *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("graph")
-	if name == "" {
-		name = prsim.DefaultGraph
-	}
 	var body edgesBodyJSON
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()

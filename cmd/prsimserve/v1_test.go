@@ -43,9 +43,7 @@ func newV1Server(t *testing.T, shards int) (*server, *httptest.Server, *prsim.Gr
 	return srv, ts, g, path
 }
 
-// TestV1Routes drives the graph-scoped /v1 surface end to end and checks the
-// deprecation contract: legacy routes announce their successor, /v1 routes do
-// not.
+// TestV1Routes drives the graph-scoped /v1 surface end to end.
 func TestV1Routes(t *testing.T) {
 	_, ts, _, _ := newV1Server(t, 2)
 
@@ -53,28 +51,6 @@ func TestV1Routes(t *testing.T) {
 	resp := getJSON(t, ts.URL+"/v1/graphs/default/query?u=3", &res)
 	if resp.StatusCode != http.StatusOK || res.Source != 3 || res.Support == 0 {
 		t.Fatalf("v1 query = %d %+v", resp.StatusCode, res)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("v1 route carries a Deprecation header")
-	}
-
-	// Legacy alias answers identically but flags the migration.
-	var legacy queryResultJSON
-	lresp := getJSON(t, ts.URL+"/query?u=3", &legacy)
-	if lresp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy query = %d", lresp.StatusCode)
-	}
-	if lresp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation header")
-	}
-	if link := lresp.Header.Get("Link"); !strings.Contains(link, "/v1/graphs/default/query") ||
-		!strings.Contains(link, `rel="successor-version"`) {
-		t.Errorf("legacy Link header = %q", link)
-	}
-	a, _ := json.Marshal(res)
-	b, _ := json.Marshal(legacy)
-	if string(a) != string(b) {
-		t.Errorf("legacy and v1 answers diverge:\n%s\n%s", a, b)
 	}
 
 	// Batch, top-k, pair, stats, list, healthz.
@@ -218,14 +194,15 @@ func TestV1GraphResolution(t *testing.T) {
 		t.Fatalf("graph mismatch = %d %+v", r.StatusCode, envelope.Error)
 	}
 
-	// The graph knob also routes legacy and body-only requests.
-	var res queryResultJSON
-	if r := postJSON(t, ts.URL+"/query", `{"u": 1, "graph": "default"}`, &res); r.StatusCode != http.StatusOK || res.Source != 1 {
-		t.Fatalf("legacy body graph = %d %+v", r.StatusCode, res)
+	resp = getJSON(t, ts.URL+"/v1/graphs/default/query?u=1&graph=other", &envelope)
+	if resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != codeInvalidArgument {
+		t.Fatalf("graph parameter mismatch = %d %+v", resp.StatusCode, envelope.Error)
 	}
-	resp = getJSON(t, ts.URL+"/query?u=1&graph=nope", &envelope)
-	if resp.StatusCode != http.StatusNotFound || envelope.Error.Code != codeUnknownGraph {
-		t.Fatalf("legacy unknown graph = %d %+v", resp.StatusCode, envelope.Error)
+
+	// A graph knob that repeats the path is accepted.
+	var res queryResultJSON
+	if r := postJSON(t, ts.URL+"/v1/graphs/default/query", `{"u": 1, "graph": "default"}`, &res); r.StatusCode != http.StatusOK || res.Source != 1 {
+		t.Fatalf("body graph matching the path = %d %+v", r.StatusCode, res)
 	}
 }
 
@@ -458,8 +435,8 @@ func TestServeMultiGraphReloadUnderLoad(t *testing.T) {
 	}
 }
 
-// TestHTTPSurfaceSnapshot pins the HTTP surface: the exact route patterns,
-// their deprecation successors, and the error-code vocabulary. Adding a route
+// TestHTTPSurfaceSnapshot pins the HTTP surface: the exact route patterns and
+// the error-code vocabulary. Adding a route
 // or code is fine — update the snapshot deliberately; changing or removing
 // one is an API break this test is meant to catch.
 func TestHTTPSurfaceSnapshot(t *testing.T) {
@@ -480,22 +457,11 @@ func TestHTTPSurfaceSnapshot(t *testing.T) {
 		"DELETE /v1/graphs/{graph}",
 		"GET /v1/stats",
 		"GET /v1/healthz",
-		"GET /query -> /v1/graphs/default/query",
-		"POST /query -> /v1/graphs/default/query",
-		"GET /topk -> /v1/graphs/default/topk",
-		"POST /topk -> /v1/graphs/default/topk",
-		"GET /pair -> /v1/graphs/default/pair",
-		"POST /reload -> /v1/graphs/default/reload",
-		"GET /stats -> /v1/graphs/default/stats",
 		"GET /healthz",
 	}
 	var got []string
 	for _, rt := range srv.routes() {
-		line := rt.pattern
-		if rt.successor != "" {
-			line += " -> " + rt.successor
-		}
-		got = append(got, line)
+		got = append(got, rt.pattern)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("route table has %d entries, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))

@@ -155,8 +155,8 @@ func (idx *Index) Gens() SnapshotGens { return SnapshotGens{g: idx.idx.Gens()} }
 func (idx *Index) Generation() uint64 { return idx.idx.Gens().Generation }
 
 // SnapshotFileGens reads the generation stamps of a saved snapshot from its
-// header without loading the file. ok is false for pre-v4 snapshots, which
-// carry no stamps and cannot serve as a delta base until rewritten by Save.
+// header without loading the file. ok is false for v3 snapshots, which carry
+// no stamps and cannot serve as a delta base until rewritten by Save.
 func SnapshotFileGens(path string) (SnapshotGens, bool, error) {
 	g, ok, err := core.ReadSnapshotGens(path)
 	return SnapshotGens{g: g}, ok, err

@@ -185,7 +185,7 @@ func ParseDeltaLayout(data []byte) (*DeltaLayout, error) {
 	if d.ShippedMask>>snapshotSectionCount != 0 {
 		return nil, fmt.Errorf("core: delta ships unknown sections (mask %#x)", d.ShippedMask)
 	}
-	version, err := SnapshotFileVersion(data[deltaHeaderBytes:])
+	version, err := snapshotFileVersion(data[deltaHeaderBytes:])
 	if err != nil {
 		return nil, err
 	}

@@ -56,25 +56,18 @@ import (
 // delta file (see delta.go) ships only the sections whose stamp is newer than
 // the receiver's generation and splices the rest out of the base file.
 //
-// Version 2 (flat index, no graph — the previous Save output) and version 1
-// (the legacy element-streamed format) are still accepted by LoadIndex and by
-// the snapshot opener when the caller supplies the graph separately; Save
-// always writes version 4. SaveV2 keeps the v2 writer available for
-// compatibility tooling.
+// Save always writes version 4. Readers accept version 3 too — the same file
+// without the generation block, which loads with synthesized stamps (see
+// ensureGens) but cannot serve as a delta base until rewritten. Versions 1
+// and 2 did not embed the graph and are rejected with an error naming the
+// version; re-save such files with a build that still reads them.
 const (
 	indexMagic     = 0x5052534d // "PRSM"
-	indexVersionV1 = 1
-	indexVersionV2 = 2
 	indexVersionV3 = 3
 	indexVersionV4 = 4
 
 	snapshotHeaderBytes  = 128
 	snapshotTrailerBytes = 8
-
-	// v2 layout: 5 sections, contiguous (every section length is a multiple
-	// of 8, so alignment was free).
-	snapshotSectionCountV2  = 5
-	snapshotSectionsStartV2 = snapshotHeaderBytes + snapshotSectionCountV2*16
 
 	// v3 layout: 11 sections, each aligned up to the next 8-byte boundary.
 	snapshotSectionCount  = 11
@@ -102,9 +95,8 @@ const (
 	snapshotFlagLabels    = 1 << 1 // label table present
 )
 
-// Section indices into SnapshotLayout.Sections, in file order. The first five
-// match the v2 section order exactly; the graph sections exist only in v3
-// files (their extents are zero for v2 layouts).
+// Section indices into SnapshotLayout.Sections, in file order: the five index
+// sections, then the graph's CSR arrays and label table.
 const (
 	sectionPi = iota
 	sectionHubOrder
@@ -146,28 +138,24 @@ type SnapshotGens struct {
 	Sections   [snapshotSectionCount]uint64
 }
 
-// SnapshotLayout is the decoded header and section table of a v2–v4
+// SnapshotLayout is the decoded header and section table of a v3 or v4
 // snapshot. It is exported (within the module) so internal/snapshot can locate
 // the sections of an mmap'd file without re-implementing the format.
 type SnapshotLayout struct {
 	Version    uint64
 	NNodes     uint64
-	NumEdges   uint64 // v3+ only; zero for v2 layouts
+	NumEdges   uint64
 	Opts       Options
 	NumHubs    uint64
 	NumLevels  uint64 // total level slots across all hubs
 	NumEntries uint64
 	FileSize   uint64
-	OutSorted  bool // v3+: graph serialized with sorted out-adjacency
-	HasLabels  bool // v3+: label table present
+	OutSorted  bool // graph serialized with sorted out-adjacency
+	HasLabels  bool // label table present
 	LabelBytes uint64
-	Gens       SnapshotGens // v4 only; zero for earlier versions
+	Gens       SnapshotGens // v4 only; zero for v3
 	Sections   [snapshotSectionCount]Section
 }
-
-// HasGraph reports whether the snapshot embeds the graph's CSR structure
-// (true for every v3+ file; v2 files carry the index only).
-func (l *SnapshotLayout) HasGraph() bool { return l.Version >= indexVersionV3 }
 
 // HasGens reports whether the snapshot carries the v4 generation block.
 func (l *SnapshotLayout) HasGens() bool { return l.Version >= indexVersionV4 }
@@ -175,91 +163,52 @@ func (l *SnapshotLayout) HasGens() bool { return l.Version >= indexVersionV4 }
 // sectionsStart returns the first byte past the fixed prefix (header, section
 // table, and — for v4 — the generation block).
 func (l *SnapshotLayout) sectionsStart() uint64 {
-	switch l.Version {
-	case indexVersionV2:
-		return snapshotSectionsStartV2
-	case indexVersionV3:
+	if l.Version == indexVersionV3 {
 		return snapshotSectionsStart
-	default:
-		return snapshotSectionsStartV4
 	}
+	return snapshotSectionsStartV4
 }
 
-// HotSections returns the sections queries touch first — the index entry
-// slab and, when the snapshot embeds the graph, its CSR offset and adjacency
-// arrays — for warmup hints (madvise readahead). The layout owns this list
-// so a future section reordering cannot silently desynchronize callers that
-// would otherwise hard-code indices.
-func (l *SnapshotLayout) HotSections() []Section {
-	hot := make([]Section, 0, 5)
-	for _, i := range l.HotSectionIndices() {
-		hot = append(hot, l.Sections[i])
-	}
-	return hot
-}
-
-// HotSectionIndices returns the indices (into Sections) of the hot sections,
-// for callers — like the delta opener — whose section bytes live in more than
-// one file and who therefore need indices rather than single-file offsets.
+// HotSectionIndices returns the indices (into Sections) of the sections
+// queries touch first — the index entry slab and the graph's CSR offset and
+// adjacency arrays — for warmup hints (madvise readahead). The layout owns
+// this list so a future section reordering cannot silently desynchronize
+// callers that would otherwise hard-code indices; indices rather than offsets,
+// because a delta-backed open's sections live in two files.
 func (l *SnapshotLayout) HotSectionIndices() []int {
-	hot := []int{sectionEntrySlab}
-	if l.HasGraph() {
-		hot = append(hot, sectionGraphOutOff, sectionGraphOutAdj, sectionGraphInOff, sectionGraphInAdj)
-	}
-	return hot
+	return []int{sectionEntrySlab, sectionGraphOutOff, sectionGraphOutAdj, sectionGraphInOff, sectionGraphInAdj}
 }
 
-// EntrySlabSection locates the index entry slab — the snapshot's largest hot
-// structure and the target for transparent-huge-page advice on large indexes.
-func (l *SnapshotLayout) EntrySlabSection() Section { return l.Sections[sectionEntrySlab] }
-
-// EntrySlabIndex returns the entry slab's index into Sections, for callers
-// addressing sections across the two files of a delta-backed open.
+// EntrySlabIndex returns the entry slab's index into Sections: the
+// snapshot's largest hot structure and the target for transparent-huge-page
+// advice on large indexes.
 func (l *SnapshotLayout) EntrySlabIndex() int { return sectionEntrySlab }
 
-// sectionCount returns how many section-table rows the version defines.
-func (l *SnapshotLayout) sectionCount() int {
-	if l.Version == indexVersionV2 {
-		return snapshotSectionCountV2
-	}
-	return snapshotSectionCount
-}
-
-// indexSectionLens returns the required byte length of the five index
-// sections shared by v2 and v3.
-func (l *SnapshotLayout) indexSectionLens() [snapshotSectionCountV2]uint64 {
-	return [snapshotSectionCountV2]uint64{
+// sectionLens returns the required byte length of every section in file
+// order.
+func (l *SnapshotLayout) sectionLens() [snapshotSectionCount]uint64 {
+	lens := [snapshotSectionCount]uint64{
 		sectionPi:           l.NNodes * 8,
 		sectionHubOrder:     l.NumHubs * 8,
 		sectionHubLevelPos:  (l.NumHubs + 1) * 8,
 		sectionEntryOffsets: (l.NumLevels + 1) * 8,
 		sectionEntrySlab:    l.NumEntries * entryRecordBytes,
+		sectionGraphOutOff:  (l.NNodes + 1) * 8,
+		sectionGraphOutAdj:  l.NumEdges * 4,
+		sectionGraphInOff:   (l.NNodes + 1) * 8,
+		sectionGraphInAdj:   l.NumEdges * 4,
 	}
-}
-
-// sectionLens returns the required byte length of every section in file
-// order. For v2 layouts only the first five entries are meaningful.
-func (l *SnapshotLayout) sectionLens() [snapshotSectionCount]uint64 {
-	var lens [snapshotSectionCount]uint64
-	idx := l.indexSectionLens()
-	copy(lens[:], idx[:])
-	if l.Version >= indexVersionV3 {
-		lens[sectionGraphOutOff] = (l.NNodes + 1) * 8
-		lens[sectionGraphOutAdj] = l.NumEdges * 4
-		lens[sectionGraphInOff] = (l.NNodes + 1) * 8
-		lens[sectionGraphInAdj] = l.NumEdges * 4
-		if l.HasLabels {
-			lens[sectionLabelOffsets] = (l.NNodes + 1) * 8
-			lens[sectionLabelBlob] = l.LabelBytes
-		}
+	if l.HasLabels {
+		lens[sectionLabelOffsets] = (l.NNodes + 1) * 8
+		lens[sectionLabelBlob] = l.LabelBytes
 	}
 	return lens
 }
 
 // ensureGens initializes the generation block for an index that does not have
-// one yet: a fresh build, or an index loaded from a pre-v4 snapshot. The
-// lineage is derived deterministically from the graph fingerprint and the
-// build options, so re-building (or re-loading a pre-v4 save of) the same
+// one yet: a fresh build, or an index loaded from a v3 snapshot. The lineage
+// is derived deterministically from the graph fingerprint, the build options
+// and the hub count, so re-building (or re-loading a v3 save of) the same
 // index yields the same lineage and deltas between such snapshots still work.
 func (idx *Index) ensureGens() {
 	if idx.gens.Generation != 0 {
@@ -278,7 +227,9 @@ func (idx *Index) ensureGens() {
 	put(uint64(idx.opts.MaxLevels))
 	put(idx.opts.Seed)
 	put(math.Float64bits(idx.opts.SampleScale))
-	put(uint64(int64(idx.opts.NumHubs)))
+	// The realized hub count, not the NumHubs request, which snapshots do not
+	// carry.
+	put(uint64(len(idx.hubOrder)))
 	idx.gens = SnapshotGens{Lineage: h.Sum64(), Generation: 1}
 	for i := range idx.gens.Sections {
 		idx.gens.Sections[i] = 1
@@ -318,26 +269,6 @@ func (idx *Index) snapshotLayout() SnapshotLayout {
 	return l
 }
 
-// snapshotLayoutV2 computes the legacy 5-section layout (used by SaveV2).
-func (idx *Index) snapshotLayoutV2() SnapshotLayout {
-	l := SnapshotLayout{
-		Version:    indexVersionV2,
-		NNodes:     uint64(idx.g.N()),
-		Opts:       idx.opts,
-		NumHubs:    uint64(len(idx.hubOrder)),
-		NumLevels:  uint64(len(idx.entryOffsets) - 1),
-		NumEntries: uint64(len(idx.entrySlab)),
-	}
-	lens := l.indexSectionLens()
-	off := uint64(snapshotSectionsStartV2)
-	for i, n := range lens {
-		l.Sections[i] = Section{Off: off, Len: n}
-		off += n // every v2 section length is a multiple of 8 already
-	}
-	l.FileSize = off + snapshotTrailerBytes
-	return l
-}
-
 // encodeSnapshotPrefix renders the header + section table for l's version.
 func encodeSnapshotPrefix(l SnapshotLayout) []byte {
 	buf := make([]byte, l.sectionsStart())
@@ -369,10 +300,10 @@ func encodeSnapshotPrefix(l SnapshotLayout) []byte {
 	for i, v := range slots {
 		binary.LittleEndian.PutUint64(buf[i*8:], v)
 	}
-	for i := 0; i < l.sectionCount(); i++ {
+	for i, s := range l.Sections {
 		base := snapshotHeaderBytes + i*16
-		binary.LittleEndian.PutUint64(buf[base:], l.Sections[i].Off)
-		binary.LittleEndian.PutUint64(buf[base+8:], l.Sections[i].Len)
+		binary.LittleEndian.PutUint64(buf[base:], s.Off)
+		binary.LittleEndian.PutUint64(buf[base+8:], s.Len)
 	}
 	if l.HasGens() {
 		base := snapshotHeaderBytes + snapshotTableBytes
@@ -385,17 +316,16 @@ func encodeSnapshotPrefix(l SnapshotLayout) []byte {
 	return buf
 }
 
-// snapshotPrefixBytes returns the fixed-prefix size of the given version.
+// snapshotPrefixBytes returns the fixed-prefix size of the given version; it
+// is where every reader rejects a version it cannot load.
 func snapshotPrefixBytes(version uint64) (int, error) {
 	switch version {
-	case indexVersionV2:
-		return snapshotSectionsStartV2, nil
 	case indexVersionV3:
 		return snapshotSectionsStart, nil
 	case indexVersionV4:
 		return snapshotSectionsStartV4, nil
 	default:
-		return 0, fmt.Errorf("core: unsupported index version %d", version)
+		return 0, fmt.Errorf("core: unsupported snapshot version %d (this build reads versions 3 and 4)", version)
 	}
 }
 
@@ -438,13 +368,11 @@ func parseSnapshotPrefix(prefix []byte) (*SnapshotLayout, error) {
 		NumLevels:  slot(11),
 		NumEntries: slot(12),
 		FileSize:   slot(13),
+		NumEdges:   slot(15),
+		OutSorted:  flags&snapshotFlagOutSorted != 0,
+		HasLabels:  flags&snapshotFlagLabels != 0,
 	}
-	if version >= indexVersionV3 {
-		l.NumEdges = slot(15)
-		l.OutSorted = flags&snapshotFlagOutSorted != 0
-		l.HasLabels = flags&snapshotFlagLabels != 0
-	}
-	if version >= indexVersionV4 {
+	if l.HasGens() {
 		base := snapshotHeaderBytes + snapshotTableBytes
 		l.Gens.Lineage = binary.LittleEndian.Uint64(prefix[base:])
 		l.Gens.Generation = binary.LittleEndian.Uint64(prefix[base+8:])
@@ -480,7 +408,7 @@ func parseSnapshotPrefix(prefix []byte) (*SnapshotLayout, error) {
 	}
 	wantLens := l.sectionLens()
 	end := l.sectionsStart()
-	for i := 0; i < l.sectionCount(); i++ {
+	for i := range l.Sections {
 		base := snapshotHeaderBytes + i*16
 		l.Sections[i] = Section{
 			Off: binary.LittleEndian.Uint64(prefix[base:]),
@@ -496,10 +424,7 @@ func parseSnapshotPrefix(prefix []byte) (*SnapshotLayout, error) {
 		if s.Off%8 != 0 {
 			return nil, fmt.Errorf("core: snapshot section %d misaligned at offset %d", i, s.Off)
 		}
-		end = s.End()
-		if version >= indexVersionV3 {
-			end = align8(end)
-		}
+		end = align8(s.End())
 	}
 	if l.FileSize != end+snapshotTrailerBytes {
 		return nil, fmt.Errorf("core: snapshot file size %d does not match sections (want %d)", l.FileSize, end+snapshotTrailerBytes)
@@ -510,7 +435,7 @@ func parseSnapshotPrefix(prefix []byte) (*SnapshotLayout, error) {
 // ReadSnapshotGens reads the generation block of a saved snapshot without
 // loading (or mapping) the file: just the fixed prefix is read and
 // structurally validated. ok reports whether the file carries generation
-// stamps at all — false for pre-v4 files, which cannot serve as the base of a
+// stamps at all — false for v3 files, which cannot serve as the base of a
 // delta and need a full rewrite to become one. Serving layers use this to
 // learn what base generation to publish deltas against.
 func ReadSnapshotGens(path string) (gens SnapshotGens, ok bool, err error) {
@@ -523,14 +448,13 @@ func ReadSnapshotGens(path string) (gens SnapshotGens, ok bool, err error) {
 	if _, err := io.ReadFull(f, head[:]); err != nil {
 		return SnapshotGens{}, false, fmt.Errorf("core: reading snapshot prelude: %w", err)
 	}
-	version, err := SnapshotFileVersion(head[:])
+	version, err := snapshotFileVersion(head[:])
 	if err != nil {
 		return SnapshotGens{}, false, err
 	}
 	prefixLen, err := snapshotPrefixBytes(version)
 	if err != nil {
-		// Unknown (e.g. v1) versions certainly carry no generation block.
-		return SnapshotGens{}, false, nil
+		return SnapshotGens{}, false, err
 	}
 	prefix := make([]byte, prefixLen)
 	copy(prefix, head[:])
@@ -544,10 +468,10 @@ func ReadSnapshotGens(path string) (gens SnapshotGens, ok bool, err error) {
 	return l.Gens, l.HasGens(), nil
 }
 
-// SnapshotFileVersion inspects the first 16 bytes of a saved index and
+// snapshotFileVersion inspects the first 16 bytes of a saved index and
 // returns its format version. It errors when the data is too short or the
 // magic does not match; it does not judge whether the version is supported.
-func SnapshotFileVersion(data []byte) (uint64, error) {
+func snapshotFileVersion(data []byte) (uint64, error) {
 	if len(data) < 16 {
 		return 0, fmt.Errorf("core: snapshot shorter than its 16-byte prelude")
 	}
@@ -558,10 +482,10 @@ func SnapshotFileVersion(data []byte) (uint64, error) {
 }
 
 // ParseSnapshotLayout decodes and validates the layout of a complete
-// in-memory (typically mmap'd) v2 or v3 snapshot. It checks structure only;
+// in-memory (typically mmap'd) v3 or v4 snapshot. It checks structure only;
 // call VerifyChecksum to validate the section payload.
 func ParseSnapshotLayout(data []byte) (*SnapshotLayout, error) {
-	version, err := SnapshotFileVersion(data)
+	version, err := snapshotFileVersion(data)
 	if err != nil {
 		return nil, err
 	}
@@ -581,6 +505,28 @@ func ParseSnapshotLayout(data []byte) (*SnapshotLayout, error) {
 		return nil, fmt.Errorf("core: snapshot header says %d bytes but file has %d", l.FileSize, len(data))
 	}
 	return l, nil
+}
+
+// SnapshotAsV3 re-encodes a complete v4 snapshot as the v3 file of the same
+// index and graph. v3 is v4 without the generation block, so the block is
+// dropped, the version slot says 3, and the sections start, every section
+// offset and the file size move down by the block's length; the payload and
+// its CRC trailer carry over unchanged. Save writes only v4, so this is how
+// the v3 reader gets a real file to read.
+func SnapshotAsV3(v4 []byte) ([]byte, error) {
+	l, err := ParseSnapshotLayout(v4)
+	if err != nil {
+		return nil, err
+	}
+	if l.Version != indexVersionV4 {
+		return nil, fmt.Errorf("core: snapshot is v%d, want v%d", l.Version, indexVersionV4)
+	}
+	l.Version = indexVersionV3
+	for i := range l.Sections {
+		l.Sections[i].Off -= snapshotGensBytes
+	}
+	l.FileSize -= snapshotGensBytes
+	return append(encodeSnapshotPrefix(*l), v4[snapshotSectionsStartV4:]...), nil
 }
 
 // VerifyChecksum recomputes the CRC-32C of the section payload and compares

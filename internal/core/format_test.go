@@ -1,123 +1,21 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// writeV1 renders idx in the legacy v1 element-streamed format, exactly as
-// the pre-v2 Save did, so the compatibility path stays covered after the
-// writer moved on.
-func writeV1(t *testing.T, idx *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	writeU64 := func(v uint64) { binary.Write(bw, binary.LittleEndian, v) }
-	writeF64 := func(v float64) { writeU64(math.Float64bits(v)) }
-
-	writeU64(indexMagic)
-	writeU64(indexVersionV1)
-	writeU64(uint64(idx.g.N()))
-	writeF64(idx.opts.C)
-	writeF64(idx.opts.Epsilon)
-	writeF64(idx.opts.Delta)
-	writeU64(uint64(idx.opts.MaxLevels))
-	writeU64(idx.opts.Seed)
-	writeF64(idx.opts.SampleScale)
-
-	writeU64(uint64(len(idx.pi)))
-	for _, p := range idx.pi {
-		writeF64(p)
-	}
-	writeU64(uint64(len(idx.hubOrder)))
-	for _, h := range idx.hubOrder {
-		writeU64(uint64(h))
-	}
-	for rank := range idx.hubOrder {
-		numLevels := idx.hubLevels(rank)
-		writeU64(uint64(numLevels))
-		for level := 0; level < numLevels; level++ {
-			entries := idx.HubEntries(idx.hubOrder[rank], level)
-			writeU64(uint64(len(entries)))
-			for _, e := range entries {
-				writeU64(uint64(e.Node))
-				writeF64(e.Reserve)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatalf("flushing v1 fixture: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// TestLoadIndexV1 checks the version switch still accepts the legacy format
-// and that a v1-loaded index matches the v2 round trip entry for entry.
-func TestLoadIndexV1(t *testing.T) {
-	g := fixtureGraph()
-	idx, err := BuildIndex(g, Options{Epsilon: 0.05, NumHubs: 3, Seed: 2})
-	if err != nil {
-		t.Fatalf("BuildIndex: %v", err)
-	}
-	v1 := writeV1(t, idx)
-	loaded, err := LoadIndex(bytes.NewReader(v1), g)
-	if err != nil {
-		t.Fatalf("LoadIndex (v1): %v", err)
-	}
-	if loaded.NumHubs() != idx.NumHubs() {
-		t.Errorf("hub count: v1 %d, built %d", loaded.NumHubs(), idx.NumHubs())
-	}
-	if loaded.SizeEntries() != idx.SizeEntries() {
-		t.Errorf("entries: v1 %d, built %d", loaded.SizeEntries(), idx.SizeEntries())
-	}
-	for _, w := range idx.Hubs() {
-		for level := 0; level < 10; level++ {
-			a, b := idx.HubEntries(w, level), loaded.HubEntries(w, level)
-			if len(a) != len(b) {
-				t.Fatalf("hub %d level %d: %d vs %d entries", w, level, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Errorf("hub %d level %d entry %d: %+v vs %+v", w, level, i, a[i], b[i])
-				}
-			}
-		}
-	}
-	// A v1-loaded index must answer queries identically to the v2 round trip.
-	var v2 bytes.Buffer
-	if err := idx.Save(&v2); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	fromV2, err := LoadIndex(&v2, g)
-	if err != nil {
-		t.Fatalf("LoadIndex (v2): %v", err)
-	}
-	resV1, err := loaded.Query(0)
-	if err != nil {
-		t.Fatalf("Query (v1): %v", err)
-	}
-	resV2, err := fromV2.Query(0)
-	if err != nil {
-		t.Fatalf("Query (v2): %v", err)
-	}
-	if len(resV1.Scores) != len(resV2.Scores) {
-		t.Fatalf("score support differs: v1 %d, v2 %d", len(resV1.Scores), len(resV2.Scores))
-	}
-	for v, s := range resV1.Scores {
-		if s2 := resV2.Scores[v]; math.Float64bits(s) != math.Float64bits(s2) {
-			t.Errorf("score of %d differs: v1 %v, v2 %v", v, s, s2)
-		}
-	}
-}
-
-// saveV2 returns a valid v2 snapshot for the fixture graph.
-func saveV2(t *testing.T) (*Index, []byte) {
+// saveV4 returns a fixture index and its v4 snapshot bytes.
+func saveV4(t testing.TB) (*Index, []byte) {
 	t.Helper()
 	g := fixtureGraph()
-	idx, err := BuildIndex(g, Options{Epsilon: 0.05, NumHubs: 3, Seed: 2})
+	idx, err := BuildIndex(g, Options{Epsilon: 0.05, NumHubs: 3, Seed: 2, SampleScale: 0.1})
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
@@ -128,26 +26,109 @@ func saveV2(t *testing.T) (*Index, []byte) {
 	return idx, buf.Bytes()
 }
 
-func TestLoadIndexCorruptV2(t *testing.T) {
-	g := fixtureGraph()
-	_, good := saveV2(t)
+// requireSameScores asserts two indexes answer queries with bit-identical
+// scores.
+func requireSameScores(t *testing.T, want, got *Index) {
+	t.Helper()
+	for _, u := range []int{0, 3} {
+		a, err := want.Query(u)
+		if err != nil {
+			t.Fatalf("Query(%d): %v", u, err)
+		}
+		b, err := got.Query(u)
+		if err != nil {
+			t.Fatalf("Query(%d): %v", u, err)
+		}
+		if len(a.Scores) != len(b.Scores) {
+			t.Fatalf("source %d: support %d vs %d", u, len(a.Scores), len(b.Scores))
+		}
+		for v, s := range a.Scores {
+			if s2, ok := b.Scores[v]; !ok || math.Float64bits(s) != math.Float64bits(s2) {
+				t.Fatalf("source %d: score of %d is %v vs %v", u, v, s, s2)
+			}
+		}
+	}
+}
 
-	mutate := func(name string, f func(b []byte) []byte) {
-		b := append([]byte(nil), good...)
-		b = f(b)
-		if _, err := LoadIndex(bytes.NewReader(b), g); err == nil {
+// TestLoadV3 reads a real version-3 file — the v4 snapshot with its
+// generation block removed — and requires the same index as the v4 load:
+// bit-identical scores and the generation stamps a fresh build synthesizes.
+// A v3 file carries no stamps on disk, so ReadSnapshotGens reports ok=false.
+func TestLoadV3(t *testing.T) {
+	built, v4 := saveV4(t)
+	v3, err := SnapshotAsV3(v4)
+	if err != nil {
+		t.Fatalf("SnapshotAsV3: %v", err)
+	}
+	if len(v3) != len(v4)-snapshotGensBytes {
+		t.Fatalf("v3 file is %d bytes, want %d", len(v3), len(v4)-snapshotGensBytes)
+	}
+	if v, err := snapshotFileVersion(v3); err != nil || v != indexVersionV3 {
+		t.Fatalf("v3 file has version %d (err %v)", v, err)
+	}
+	_, fromV4, err := LoadSelfContained(bytes.NewReader(v4))
+	if err != nil {
+		t.Fatalf("LoadSelfContained (v4): %v", err)
+	}
+	_, fromV3, err := LoadSelfContained(bytes.NewReader(v3))
+	if err != nil {
+		t.Fatalf("LoadSelfContained (v3): %v", err)
+	}
+	requireSameScores(t, fromV4, fromV3)
+	if got, want := fromV3.Gens(), built.Gens(); got != want {
+		t.Errorf("v3 gens %+v, want the fresh build's %+v", got, want)
+	}
+	withGraph, err := LoadIndex(bytes.NewReader(v3), built.g)
+	if err != nil {
+		t.Fatalf("LoadIndex (v3): %v", err)
+	}
+	requireSameScores(t, fromV4, withGraph)
+
+	path := filepath.Join(t.TempDir(), "v3.prsim")
+	if err := os.WriteFile(path, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := ReadSnapshotGens(path); err != nil || ok {
+		t.Errorf("ReadSnapshotGens(v3) = ok %v, err %v; want ok=false, nil", ok, err)
+	}
+}
+
+// TestLoadIndexCorruptSnapshot feeds corrupted snapshots to both streaming
+// loaders, with a supplied graph and without one; every one must fail. It
+// also pins the version policy: v1 and v2 files (which never embedded the
+// graph) and unknown versions fail with an error that names the version.
+func TestLoadIndexCorruptSnapshot(t *testing.T) {
+	g := fixtureGraph()
+	_, good := saveV4(t)
+
+	mutate := func(name string, f func(b []byte) []byte) []error {
+		b := f(append([]byte(nil), good...))
+		_, err := LoadIndex(bytes.NewReader(b), g)
+		_, _, errSelf := LoadSelfContained(bytes.NewReader(b))
+		if err == nil {
 			t.Errorf("%s: corrupt input loaded without error", name)
 		}
+		if errSelf == nil {
+			t.Errorf("%s: corrupt input loaded self-contained without error", name)
+		}
+		return []error{err, errSelf}
 	}
 
 	mutate("bad magic", func(b []byte) []byte {
 		b[0] ^= 0xff
 		return b
 	})
-	mutate("future version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[8:], 99)
-		return b
-	})
+	for _, v := range []uint64{1, 2, 99} {
+		name := fmt.Sprintf("version %d", v)
+		for _, err := range mutate(name, func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8:], v)
+			return b
+		}) {
+			if err != nil && !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: error %q does not name the version", name, err)
+			}
+		}
+	}
 	mutate("checksum mismatch in entry slab", func(b []byte) []byte {
 		b[len(b)-16] ^= 0x01 // last entry record, invalidates the CRC
 		return b
@@ -197,7 +178,7 @@ func TestLoadIndexCorruptV2(t *testing.T) {
 // loader depends on (it cannot rely on the streaming loader's incremental
 // reads failing).
 func TestParseSnapshotLayoutTampered(t *testing.T) {
-	_, good := saveV2(t)
+	_, good := saveV4(t)
 
 	if _, err := ParseSnapshotLayout(good); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
@@ -283,6 +264,17 @@ func TestFinishLoadRejectsBadOffsets(t *testing.T) {
 			t.Errorf("duplicate hub accepted")
 		}
 	}
+
+	if len(idx.entrySlab) == 0 {
+		t.Fatal("fixture index has no entries")
+	}
+	for _, node := range []int32{int32(g.N()), 1 << 30, -16} {
+		pi, hubs, hlp, eo, slab = fresh()
+		slab[len(slab)-1].Node = node // queries index score arrays with it
+		if _, err := NewIndexFromSnapshot(g, &l, pi, hubs, hlp, eo, slab); err == nil {
+			t.Errorf("entry naming node %d of %d accepted", node, g.N())
+		}
+	}
 }
 
 // TestAsSliceIgnoresGarbageKeys pins the memory-safety guard for score maps
@@ -297,9 +289,10 @@ func TestAsSliceIgnoresGarbageKeys(t *testing.T) {
 	}
 }
 
-// FuzzLoadIndex asserts the loader returns clean errors — never panics — on
-// arbitrary input. Seeds include a valid v2 snapshot, a valid v1 stream, and
-// assorted prefixes/garbage.
+// FuzzLoadIndex asserts the streaming loaders return clean errors — never
+// panic — on arbitrary input, with a supplied graph (LoadIndex) and without
+// one (LoadSelfContained). Seeds include a valid v4 snapshot, its v3 twin,
+// and assorted prefixes/garbage.
 func FuzzLoadIndex(f *testing.F) {
 	g := fixtureGraph()
 	idx, err := BuildIndex(g, Options{Epsilon: 0.1, NumHubs: 2, Seed: 1, SampleScale: 0.01})
@@ -307,32 +300,40 @@ func FuzzLoadIndex(f *testing.F) {
 		f.Fatalf("BuildIndex: %v", err)
 	}
 	wantOpts := idx.Options()
-	var v2 bytes.Buffer
-	if err := idx.Save(&v2); err != nil {
+	var v4 bytes.Buffer
+	if err := idx.Save(&v4); err != nil {
 		f.Fatalf("Save: %v", err)
 	}
-	f.Add(v2.Bytes())
-	f.Add(v2.Bytes()[:16])
-	f.Add(v2.Bytes()[:snapshotSectionsStartV4])
+	v3, err := SnapshotAsV3(v4.Bytes())
+	if err != nil {
+		f.Fatalf("SnapshotAsV3: %v", err)
+	}
+	f.Add(v4.Bytes())
+	f.Add(v4.Bytes()[:16])
+	f.Add(v4.Bytes()[:snapshotSectionsStartV4])
 	f.Add([]byte("not an index at all"))
 	f.Add([]byte{})
-	trunc := append([]byte(nil), v2.Bytes()...)
-	f.Add(trunc[:len(trunc)-9])
+	f.Add(v4.Bytes()[:v4.Len()-9])
+	f.Add(v3)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := LoadIndex(bytes.NewReader(data), g)
-		if err != nil {
-			return
-		}
-		// Whatever parsed must be internally consistent enough to query. Only
-		// query when the options survived untampered: the header is not
-		// checksummed, and a mutated epsilon can legitimately parse yet make
-		// the (correct) query astronomically expensive.
+	// Whatever parsed must be internally consistent enough to query. Only
+	// query when the options survived untampered: the header is not
+	// checksummed, and a mutated epsilon can legitimately parse yet make the
+	// (correct) query astronomically expensive.
+	check := func(t *testing.T, idx *Index) {
 		if idx.Options() != wantOpts {
 			return
 		}
 		if _, qerr := idx.Query(0); qerr != nil {
 			t.Fatalf("loaded index cannot query: %v", qerr)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if idx, err := LoadIndex(bytes.NewReader(data), g); err == nil {
+			check(t, idx)
+		}
+		if _, idx, err := LoadSelfContained(bytes.NewReader(data)); err == nil {
+			check(t, idx)
 		}
 	})
 }

@@ -14,11 +14,12 @@ import (
 
 // IndexEntry is one (v, ψ_ℓ(v,w)) pair stored in the hub list L_ℓ(w).
 //
-// The field order and types are part of the snapshot v2 on-disk format: an
+// The field order and types are part of the snapshot on-disk format: an
 // entry is serialized as a 16-byte record (u32 node, u32 zero padding, f64
 // reserve bits), which matches this struct's in-memory layout on 64-bit
 // little-endian platforms so the mmap loader can view the entry slab as a
-// []IndexEntry without copying.
+// []IndexEntry without copying. Loaders reject any entry whose Node is not a
+// node of the graph: queries index per-node score arrays with it.
 type IndexEntry struct {
 	Node    int32
 	Reserve float64
@@ -31,7 +32,7 @@ type IndexEntry struct {
 // arrays (CSR-of-CSR): hub rank i owns level slots
 // hubLevelPos[i]..hubLevelPos[i+1], and level slot k owns entries
 // entrySlab[entryOffsets[k]:entryOffsets[k+1]]. This is both the in-memory
-// and the snapshot v2 on-disk layout, so the same query code runs unchanged
+// and the snapshot's on-disk layout, so the same query code runs unchanged
 // whether the slices are heap-allocated (BuildIndex, streaming LoadIndex) or
 // zero-copy views over an mmap'd snapshot (internal/snapshot).
 type Index struct {

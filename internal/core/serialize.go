@@ -40,28 +40,10 @@ func (idx *Index) Save(w io.Writer) error {
 	return finishSave(bw, enc)
 }
 
-// SaveV2 writes the index alone in the legacy snapshot v2 format (flat index
-// sections, no embedded graph). It is kept so newer builders can feed older
-// deployments and so the v2 load path stays testable; new code should use
-// Save, which writes the self-contained v4 format.
-func (idx *Index) SaveV2(w io.Writer) error {
-	l := idx.snapshotLayoutV2()
-	bw := bufio.NewWriterSize(w, 64<<10)
-	if _, err := bw.Write(encodeSnapshotPrefix(l)); err != nil {
-		return fmt.Errorf("core: saving index: %w", err)
-	}
-	enc := newSectionEncoder(bw)
-	for i := 0; i < snapshotSectionCountV2; i++ {
-		idx.writeSection(enc, i)
-	}
-	return finishSave(bw, enc)
-}
-
 // writeSection emits one section's payload plus its trailing alignment
 // padding. It is the single source of truth for section bytes: Save streams
-// all eleven in order, SaveV2 the first five, and WriteDelta an arbitrary
-// subset — so a section shipped in a delta is byte-identical to the same
-// section in a full save.
+// all eleven in order and WriteDelta an arbitrary subset — so a section
+// shipped in a delta is byte-identical to the same section in a full save.
 func (idx *Index) writeSection(enc *sectionEncoder, section int) {
 	switch section {
 	case sectionPi:
@@ -141,8 +123,7 @@ func finishSave(bw *bufio.Writer, enc *sectionEncoder) error {
 
 // sectionEncoder batches little-endian writes and feeds every flushed chunk
 // to both the output and the running section checksum. Errors are sticky, so
-// callers check once at the end instead of on every element (the v1 writer
-// silently dropped binary.Write errors; this propagates them).
+// callers check once at the end instead of on every element.
 type sectionEncoder struct {
 	w       io.Writer
 	crc     hash.Hash32
@@ -228,14 +209,13 @@ func (idx *Index) SaveFile(path string) error {
 	return f.Close()
 }
 
-// LoadIndex reads an index previously written with Save, accepting the
-// current v4 snapshot format as well as the legacy v3, v2 (index-only) and v1
-// (element-streamed) formats. The graph must be the same graph (same node
-// count and edges) the index was built from; for self-contained v3 files the
-// embedded graph sections are checksummed and cross-checked against it but g
-// remains the graph queries run on. To reconstruct the graph *from* a v3
-// file, use LoadSelfContained. For near-instant zero-copy loading from disk,
-// use internal/snapshot instead.
+// LoadIndex reads a v4 (or v3) snapshot previously written with Save; v1 and
+// v2 files are rejected. The graph must be the same graph (same node count
+// and edges) the index was built from: the embedded graph sections are
+// checksummed and their shape is cross-checked against g, but g remains the
+// graph queries run on. To reconstruct the graph *from* the file, use
+// LoadSelfContained. For near-instant zero-copy loading from disk, use
+// internal/snapshot instead.
 func LoadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
@@ -244,34 +224,25 @@ func LoadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
 	return idx, err
 }
 
-// LoadSelfContained reads a self-contained v3/v4 snapshot and reconstructs both
-// the graph and the index from it. It fails for v1/v2 files, which do not
-// embed the graph.
+// LoadSelfContained reads a v4 (or v3) snapshot and reconstructs both the
+// graph and the index from it.
 func LoadSelfContained(r io.Reader) (*graph.Graph, *Index, error) {
 	return loadIndexMaybeGraph(r, nil)
 }
 
-// loadIndexMaybeGraph is the shared streaming loader. When g is nil the file
-// must be v3 and the embedded graph is reconstructed; when g is supplied it
-// is used as the index's graph (v3 graph sections are then decoded only to
-// feed the checksum and cross-check the shape).
+// loadIndexMaybeGraph is the shared streaming loader. When g is nil the
+// embedded graph is reconstructed; when g is supplied it is used as the
+// index's graph (the graph sections are then decoded only to feed the
+// checksum and cross-check the shape).
 func loadIndexMaybeGraph(r io.Reader, g *graph.Graph) (*graph.Graph, *Index, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var head [16]byte
 	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return nil, nil, fmt.Errorf("core: loading index: %w", err)
 	}
-	magic := binary.LittleEndian.Uint64(head[:8])
-	version := binary.LittleEndian.Uint64(head[8:])
-	if magic != indexMagic {
-		return nil, nil, fmt.Errorf("core: not a PRSim index file (magic %#x)", magic)
-	}
-	if version == indexVersionV1 {
-		if g == nil {
-			return nil, nil, fmt.Errorf("core: v1 index files do not embed the graph; supply one")
-		}
-		idx, err := loadV1(br, g)
-		return g, idx, err
+	version, err := snapshotFileVersion(head[:])
+	if err != nil {
+		return nil, nil, err
 	}
 	prefixLen, err := snapshotPrefixBytes(version)
 	if err != nil {
@@ -286,20 +257,17 @@ func loadIndexMaybeGraph(r io.Reader, g *graph.Graph) (*graph.Graph, *Index, err
 	if err != nil {
 		return nil, nil, err
 	}
-	if !l.HasGraph() && g == nil {
-		return nil, nil, fmt.Errorf("core: v%d index files do not embed the graph; supply one", version)
-	}
 	return loadSections(br, l, g)
 }
 
-// loadSections streams the section payload of a v2–v4 snapshot, verifying the
-// CRC trailer as it goes.
+// loadSections streams the section payload of a snapshot, verifying the CRC
+// trailer as it goes.
 func loadSections(r io.Reader, l *SnapshotLayout, g *graph.Graph) (*graph.Graph, *Index, error) {
 	if g != nil {
 		if int(l.NNodes) != g.N() {
 			return nil, nil, fmt.Errorf("core: index built for %d nodes but graph has %d", l.NNodes, g.N())
 		}
-		if l.HasGraph() && int(l.NumEdges) != g.M() {
+		if int(l.NumEdges) != g.M() {
 			return nil, nil, fmt.Errorf("core: snapshot graph has %d edges but supplied graph has %d", l.NumEdges, g.M())
 		}
 	}
@@ -339,14 +307,12 @@ func loadSections(r io.Reader, l *SnapshotLayout, g *graph.Graph) (*graph.Graph,
 		lo = !lo
 	})
 
-	if l.HasGraph() {
-		eg, err := decodeGraphSections(dec, l, g == nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		if g == nil {
-			g = eg
-		}
+	eg, err := decodeGraphSections(dec, l, g == nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if g == nil {
+		g = eg
 	}
 	if dec.err != nil {
 		return nil, nil, fmt.Errorf("core: loading index: %w", dec.err)
@@ -366,7 +332,7 @@ func loadSections(r io.Reader, l *SnapshotLayout, g *graph.Graph) (*graph.Graph,
 	return g, idx, nil
 }
 
-// decodeGraphSections streams the v3 graph sections. When build is false the
+// decodeGraphSections streams the graph sections. When build is false the
 // bytes are still consumed (they feed the checksum) but no graph is
 // materialized.
 func decodeGraphSections(dec *sectionDecoder, l *SnapshotLayout, build bool) (*graph.Graph, error) {
@@ -487,7 +453,7 @@ func growCap[T any](count uint64) []T {
 // running CRC and handing the decoded elements to the caller. Its chunk size
 // is a multiple of 16, so no 4-, 8- or 16-byte element ever straddles a
 // refill. After every section it consumes the zero padding up to the next
-// 8-byte boundary (a no-op for v2 files, whose sections are all 8-aligned).
+// 8-byte boundary.
 type sectionDecoder struct {
 	r        io.Reader
 	crc      hash.Hash32
@@ -560,122 +526,9 @@ func (d *sectionDecoder) skipPadding() {
 	d.consumed += pad
 }
 
-// loadV1 reads the legacy element-streamed format (everything after the
-// 16-byte magic+version prelude) and converts it to the flat representation.
-func loadV1(br *bufio.Reader, g *graph.Graph) (*Index, error) {
-	readU64 := func() (uint64, error) {
-		var v uint64
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
-	}
-	readF64 := func() (float64, error) {
-		v, err := readU64()
-		return math.Float64frombits(v), err
-	}
-
-	nNodes, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("core: loading index: %w", err)
-	}
-	if int(nNodes) != g.N() {
-		return nil, fmt.Errorf("core: index built for %d nodes but graph has %d", nNodes, g.N())
-	}
-
-	idx := &Index{g: g}
-	if idx.opts.C, err = readF64(); err != nil {
-		return nil, fmt.Errorf("core: loading index: %w", err)
-	}
-	if idx.opts.Epsilon, err = readF64(); err != nil {
-		return nil, fmt.Errorf("core: loading index: %w", err)
-	}
-	if idx.opts.Delta, err = readF64(); err != nil {
-		return nil, fmt.Errorf("core: loading index: %w", err)
-	}
-	maxLevels, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("core: loading index: %w", err)
-	}
-	idx.opts.MaxLevels = int(maxLevels)
-	if idx.opts.Seed, err = readU64(); err != nil {
-		return nil, fmt.Errorf("core: loading index: %w", err)
-	}
-	if idx.opts.SampleScale, err = readF64(); err != nil {
-		return nil, fmt.Errorf("core: loading index: %w", err)
-	}
-
-	piLen, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("core: loading index: %w", err)
-	}
-	if int(piLen) != g.N() {
-		return nil, fmt.Errorf("core: PageRank vector length %d does not match graph", piLen)
-	}
-	idx.pi = make([]float64, piLen)
-	for i := range idx.pi {
-		if idx.pi[i], err = readF64(); err != nil {
-			return nil, fmt.Errorf("core: loading index: %w", err)
-		}
-	}
-
-	numHubs, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("core: loading index: %w", err)
-	}
-	if int(numHubs) > g.N() {
-		return nil, fmt.Errorf("core: hub count %d exceeds node count", numHubs)
-	}
-	idx.hubOrder = make([]int, numHubs)
-	for i := range idx.hubOrder {
-		h, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("core: loading index: %w", err)
-		}
-		idx.hubOrder[i] = int(h)
-	}
-	built := make([][][]IndexEntry, numHubs)
-	for i := range built {
-		numLevels, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("core: loading index: %w", err)
-		}
-		if numLevels > snapshotMaxCount {
-			return nil, fmt.Errorf("core: hub %d has implausible level count %d", i, numLevels)
-		}
-		levels := make([][]IndexEntry, numLevels)
-		for l := range levels {
-			count, err := readU64()
-			if err != nil {
-				return nil, fmt.Errorf("core: loading index: %w", err)
-			}
-			if count > snapshotMaxCount {
-				return nil, fmt.Errorf("core: hub %d level %d has implausible entry count %d", i, l, count)
-			}
-			entries := make([]IndexEntry, count)
-			for e := range entries {
-				node, err := readU64()
-				if err != nil {
-					return nil, fmt.Errorf("core: loading index: %w", err)
-				}
-				reserve, err := readF64()
-				if err != nil {
-					return nil, fmt.Errorf("core: loading index: %w", err)
-				}
-				entries[e] = IndexEntry{Node: int32(node), Reserve: reserve}
-			}
-			levels[l] = entries
-		}
-		built[i] = levels
-	}
-	idx.flattenHubLevels(built)
-	if err := idx.finishLoad(); err != nil {
-		return nil, err
-	}
-	return idx, nil
-}
-
 // NewIndexFromSnapshot assembles an Index whose slice backing was produced
-// elsewhere — typically zero-copy views over an mmap'd v2–v4 snapshot built
-// by internal/snapshot. It validates the slices against the layout and the
+// elsewhere — typically zero-copy views over an mmap'd snapshot built by
+// internal/snapshot. It validates the slices against the layout and the
 // graph, then derives the in-memory bookkeeping (hub ranks, stats). The
 // returned index aliases the supplied slices; they must stay valid (mapped)
 // for the index's lifetime.
@@ -711,9 +564,10 @@ func NewIndexFromSnapshot(g *graph.Graph, l *SnapshotLayout, pi []float64, hubOr
 
 // finishLoad derives everything a loaded index needs beyond its section
 // slices: it validates the offset-array invariants (HubEntries slices the
-// slab with them, so corrupt offsets must be rejected up front), rebuilds
-// hubRank, recomputes stats, and re-validates the loaded options. It runs
-// identically for streaming v1/v2/v3 loads and mmap-backed snapshots.
+// slab with them, so corrupt offsets must be rejected up front) and the entry
+// slab's node ids (queries index score arrays with them), rebuilds hubRank,
+// recomputes stats, and re-validates the loaded options. It runs identically
+// for streaming loads and mmap-backed snapshots, plain or delta-layered.
 func (idx *Index) finishLoad() error {
 	g := idx.g
 	n := g.N()
@@ -744,6 +598,11 @@ func (idx *Index) finishLoad() error {
 	if idx.entryOffsets[totalLevels] != uint64(len(idx.entrySlab)) {
 		return fmt.Errorf("core: entry offsets cover %d entries, slab has %d", idx.entryOffsets[totalLevels], len(idx.entrySlab))
 	}
+	for i, e := range idx.entrySlab {
+		if uint32(e.Node) >= uint32(n) {
+			return fmt.Errorf("core: index entry %d names node %d, graph has %d nodes", i, uint32(e.Node), n)
+		}
+	}
 
 	idx.hubRank = make([]int, n)
 	for i := range idx.hubRank {
@@ -772,9 +631,9 @@ func (idx *Index) finishLoad() error {
 	if !g.OutSortedByInDegree() {
 		g.SortOutByInDegree()
 	}
-	// Pre-v4 files carry no generation block; synthesize one now that the
-	// graph is sorted (the lineage hashes the sorted graph's fingerprint, so
-	// a pre-v4 load of an index agrees with a fresh build of the same index).
+	// v3 files carry no generation block; synthesize one now that the graph
+	// is sorted (the lineage hashes the sorted graph's fingerprint, so a v3
+	// load of an index agrees with a fresh build of the same index).
 	idx.ensureGens()
 	return nil
 }
@@ -789,8 +648,8 @@ func LoadIndexFile(path string, g *graph.Graph) (*Index, error) {
 	return LoadIndex(f, g)
 }
 
-// LoadSelfContainedFile reads a self-contained v3/v4 snapshot from the given
-// path, reconstructing both graph and index.
+// LoadSelfContainedFile reads a snapshot from the given path, reconstructing
+// both graph and index.
 func LoadSelfContainedFile(path string) (*graph.Graph, *Index, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -105,61 +105,7 @@ func TestLoadIndexCorrupt(t *testing.T) {
 	}
 }
 
-// TestSaveV2RoundTrip keeps the legacy index-only writer and the v2 load
-// path covered now that Save writes self-contained v3 files.
-func TestSaveV2RoundTrip(t *testing.T) {
-	g := fixtureGraph()
-	idx, err := BuildIndex(g, Options{Epsilon: 0.05, NumHubs: 3, Seed: 2})
-	if err != nil {
-		t.Fatalf("BuildIndex: %v", err)
-	}
-	var v2 bytes.Buffer
-	if err := idx.SaveV2(&v2); err != nil {
-		t.Fatalf("SaveV2: %v", err)
-	}
-	if v, err := SnapshotFileVersion(v2.Bytes()); err != nil || v != indexVersionV2 {
-		t.Fatalf("SaveV2 wrote version %d (err %v), want 2", v, err)
-	}
-	loaded, err := LoadIndex(bytes.NewReader(v2.Bytes()), g)
-	if err != nil {
-		t.Fatalf("LoadIndex (v2): %v", err)
-	}
-	if loaded.NumHubs() != idx.NumHubs() || loaded.SizeEntries() != idx.SizeEntries() {
-		t.Errorf("v2 round trip lost shape: hubs %d/%d entries %d/%d",
-			loaded.NumHubs(), idx.NumHubs(), loaded.SizeEntries(), idx.SizeEntries())
-	}
-	// v2 files cannot self-load: no embedded graph.
-	if _, _, err := LoadSelfContained(bytes.NewReader(v2.Bytes())); err == nil {
-		t.Errorf("LoadSelfContained accepted a v2 file with no embedded graph")
-	}
-	// A v2-loaded index must answer bit-identically to the v3 round trip.
-	var v3 bytes.Buffer
-	if err := idx.Save(&v3); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	fromV3, err := LoadIndex(bytes.NewReader(v3.Bytes()), g)
-	if err != nil {
-		t.Fatalf("LoadIndex (v3): %v", err)
-	}
-	a, err := loaded.Query(0)
-	if err != nil {
-		t.Fatalf("Query (v2): %v", err)
-	}
-	b, err := fromV3.Query(0)
-	if err != nil {
-		t.Fatalf("Query (v3): %v", err)
-	}
-	if len(a.Scores) != len(b.Scores) {
-		t.Fatalf("support differs: v2 %d, v3 %d", len(a.Scores), len(b.Scores))
-	}
-	for v, s := range a.Scores {
-		if b.Scores[v] != s {
-			t.Errorf("score of %d differs: v2 %v, v3 %v", v, s, b.Scores[v])
-		}
-	}
-}
-
-// TestLoadSelfContained reconstructs graph and index from one v3 stream and
+// TestLoadSelfContained reconstructs graph and index from one snapshot and
 // checks the graph structure and label table survive byte-for-byte.
 func TestLoadSelfContained(t *testing.T) {
 	b := graph.NewBuilder()
@@ -221,7 +167,7 @@ func TestLoadSelfContained(t *testing.T) {
 	}
 }
 
-// TestSaveDeterministic pins the byte-for-byte reproducibility of the v3
+// TestSaveDeterministic pins the byte-for-byte reproducibility of the
 // writer: saving the same index twice must produce identical files (CI's
 // snapshot round-trip smoke diff relies on this).
 func TestSaveDeterministic(t *testing.T) {

@@ -440,7 +440,7 @@ func (e *Engine) swap(idx *core.Index, res Resource, impact *core.UpdateStats) e
 // incremental ApplyUpdates steps, which is what makes impact-filtered cache
 // retention sound: the generation lineage matches (same original graph, build
 // options, and seed — carried by every update and synthesized identically for
-// pre-v4 snapshots), b's generation is strictly newer, and the query-relevant
+// v3 snapshots), b's generation is strictly newer, and the query-relevant
 // options and carried hub count agree.
 func updateCompatible(a, b *core.Index) bool {
 	ga, gb := a.Gens(), b.Gens()

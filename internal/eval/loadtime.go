@@ -15,15 +15,15 @@ import (
 // LoadTimeRow is one measured cold-start strategy.
 type LoadTimeRow struct {
 	// Mode names the strategy:
-	//   "v2 parse+stream"  edge-list parse + streaming index load (pre-mmap era)
-	//   "v2 parse+mmap"    edge-list parse + zero-copy index mmap (snapshot v2 era)
-	//   "v3 mmap"          one self-contained mapping for graph and index
-	//   "v3 mmap+crc"      same, with full checksum validation at open
+	//   "parse+stream"  edge-list parse + streaming index load
+	//   "parse+mmap"    edge-list parse + zero-copy index mmap
+	//   "mmap"          one self-contained mapping for graph and index
+	//   "mmap+crc"      same, with full checksum validation at open
 	Mode string
 	// Millis is the best-of-reps wall-clock time in milliseconds from cold
 	// process state to a queryable (graph + index) serving state.
 	Millis float64
-	// Speedup is the "v2 parse+stream" time divided by this mode's time.
+	// Speedup is the "parse+stream" time divided by this mode's time.
 	Speedup float64
 	// FirstQueryMillis is the time of the first query after opening, which
 	// for mmap includes faulting in the touched pages.
@@ -34,16 +34,16 @@ type LoadTimeRow struct {
 type LoadTimeResult struct {
 	Nodes      int
 	Edges      int
-	IndexBytes int64 // size of the self-contained v3 snapshot
+	IndexBytes int64 // size of the snapshot
 	Rows       []LoadTimeRow
 }
 
 // RunLoadTime benchmarks the full cold start of a query server: getting from
-// files on disk to a queryable graph + index. The pre-snapshot strategy
-// re-parses the edge list and stream-loads the index; the snapshot v2
-// strategy mmaps the index but still parses the edge list (the graph
-// dominated cold start exactly where the mmap made the index free); the
-// self-contained v3 strategy maps graph and index out of one file. Quick mode
+// files on disk to a queryable graph + index. The two edge-list strategies
+// re-parse the graph and open the snapshot against it, streaming the index or
+// mapping it (the graph parse dominates cold start exactly where the mmap
+// makes the index free); the self-contained strategy maps graph and index out
+// of the one file. Every mode opens the same v4 snapshot. Quick mode
 // uses a ~30k-node graph with the default index density; full mode uses a
 // 150k-node graph with a dense index (2000 hubs at ε=0.05). Each mode is
 // measured best-of-3; files stay warm in page cache between reps, so the
@@ -75,23 +75,11 @@ func RunLoadTime(cfg Config) (*LoadTimeResult, error) {
 	if err := g.WriteEdgeListFile(graphPath); err != nil {
 		return nil, err
 	}
-	v2Path := filepath.Join(dir, "index.v2.prsim")
-	f, err := os.Create(v2Path)
-	if err != nil {
+	snapPath := filepath.Join(dir, "index.prsim")
+	if err := idx.SaveFile(snapPath); err != nil {
 		return nil, err
 	}
-	if err := idx.SaveV2(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	v3Path := filepath.Join(dir, "index.v3.prsim")
-	if err := idx.SaveFile(v3Path); err != nil {
-		return nil, err
-	}
-	st, err := os.Stat(v3Path)
+	st, err := os.Stat(snapPath)
 	if err != nil {
 		return nil, err
 	}
@@ -103,24 +91,23 @@ func RunLoadTime(cfg Config) (*LoadTimeResult, error) {
 		name   string
 		openFn func() (*snapshot.Snapshot, error)
 	}
-	withGraph := func(path string, sopts snapshot.Options) func() (*snapshot.Snapshot, error) {
+	withGraph := func(sopts snapshot.Options) func() (*snapshot.Snapshot, error) {
 		return func() (*snapshot.Snapshot, error) {
 			pg, err := graph.ReadEdgeListFile(graphPath)
 			if err != nil {
 				return nil, err
 			}
-			return snapshot.Open(path, pg, sopts)
+			return snapshot.Open(snapPath, pg, sopts)
 		}
 	}
+	selfContained := func(sopts snapshot.Options) func() (*snapshot.Snapshot, error) {
+		return func() (*snapshot.Snapshot, error) { return snapshot.Open(snapPath, nil, sopts) }
+	}
 	modes := []mode{
-		{"v2 parse+stream", withGraph(v2Path, snapshot.Options{ForceStream: true})},
-		{"v2 parse+mmap", withGraph(v2Path, snapshot.Options{})},
-		{"v3 mmap", func() (*snapshot.Snapshot, error) {
-			return snapshot.Open(v3Path, nil, snapshot.Options{})
-		}},
-		{"v3 mmap+crc", func() (*snapshot.Snapshot, error) {
-			return snapshot.Open(v3Path, nil, snapshot.Options{VerifyChecksum: true})
-		}},
+		{"parse+stream", withGraph(snapshot.Options{ForceStream: true})},
+		{"parse+mmap", withGraph(snapshot.Options{})},
+		{"mmap", selfContained(snapshot.Options{})},
+		{"mmap+crc", selfContained(snapshot.Options{VerifyChecksum: true})},
 	}
 	const reps = 3
 	var baseline float64
@@ -155,7 +142,7 @@ func RunLoadTime(cfg Config) (*LoadTimeResult, error) {
 				return nil, err
 			}
 		}
-		if m.name == "v2 parse+stream" {
+		if m.name == "parse+stream" {
 			baseline = best
 		}
 		row := LoadTimeRow{Mode: m.name, Millis: best, FirstQueryMillis: firstQuery}

@@ -29,7 +29,8 @@ func deltaFixture(t *testing.T) (updated *core.Index, basePath, deltaPath, fullP
 	if err := g.SetLabels(labels); err != nil {
 		t.Fatalf("SetLabels: %v", err)
 	}
-	idx, err := core.BuildIndex(g, core.Options{Epsilon: 0.2, Seed: 3})
+	// Hubs and entries, so the delta-mapped open reads a real entry slab.
+	idx, err := core.BuildIndex(g, core.Options{Epsilon: 0.05, NumHubs: 20, Seed: 3, SampleScale: 0.05})
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}

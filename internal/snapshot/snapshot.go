@@ -1,17 +1,17 @@
-// Package snapshot opens saved PRSim indexes (snapshot v2/v3 files written by
-// core.Save) by memory-mapping them and reconstructing the index's slices as
-// zero-copy views over the mapping. Self-contained v3 files embed the graph's
-// CSR adjacency arrays and label table too, so the *entire* serving state —
-// graph and index — comes out of one mapping: cold-starting a server on a
-// multi-GB index becomes an O(header + CSR validation) operation instead of an
-// O(edge list) parse, the kernel pages data in lazily as queries touch it, and
+// Package snapshot opens saved PRSim indexes (snapshot v4 files written by
+// core.Save, or v3 files, which lack only the generation block) by
+// memory-mapping them and reconstructing the index's slices as zero-copy
+// views over the mapping. Every readable file embeds the graph's CSR
+// adjacency arrays and label table too, so the *entire* serving state — graph
+// and index — comes out of one mapping: cold-starting a server on a multi-GB
+// index becomes an O(header + CSR validation) operation instead of an O(edge
+// list) parse, the kernel pages data in lazily as queries touch it, and
 // multiple server processes mapping the same file share one page cache.
+// Version 1 and 2 files do not embed the graph and are rejected.
 //
 // On platforms where zero-copy mapping is unavailable (no mmap syscall,
-// 32-bit ints, big-endian byte order) — and for legacy v1 files, which are
-// element-streamed and cannot be viewed in place — Open falls back to the
-// portable streaming loader transparently; Mapped reports which path was
-// taken.
+// 32-bit ints, big-endian byte order) Open falls back to the portable
+// streaming loader transparently; Mapped reports which path was taken.
 //
 // Snapshots are reference counted so they can be hot-swapped under live
 // traffic: Close drops the owner reference but defers the munmap until every
@@ -46,7 +46,8 @@ type Options struct {
 	// open for end-to-end integrity; it can also be run at any later point
 	// with Snapshot.Verify. The structural invariants that queries rely on
 	// for memory safety (section table bounds, offset-array monotonicity,
-	// CSR adjacency bounds) are always validated regardless of this option.
+	// CSR adjacency bounds, index entry node ids) are always validated
+	// regardless of this option.
 	VerifyChecksum bool
 	// ForceStream disables mmap and always uses the portable streaming
 	// loader. Useful for benchmarking the two paths against each other and
@@ -67,7 +68,7 @@ type sectionView struct {
 }
 
 // Snapshot is an open index snapshot. When Mapped reports true, the index's
-// (and, for self-contained v3+ files, the graph's) section slices alias the
+// (and, for self-contained opens, the graph's) section slices alias the
 // underlying mmap region(s) and stay valid until the last reference is
 // released.
 type Snapshot struct {
@@ -80,7 +81,7 @@ type Snapshot struct {
 	deltaLayout *core.DeltaLayout    // delta-backed opens: the delta file's layout
 	views       [numSections]sectionView
 	mapped      bool
-	graphMapped bool // graph adjacency aliases the mapping (v3+ zero-copy open)
+	graphMapped bool // graph adjacency aliases the mapping (self-contained zero-copy open)
 
 	// refs counts the owner (1 at open) plus every in-flight Retain. The
 	// munmap runs when the count reaches zero, so closing under live queries
@@ -114,14 +115,13 @@ func Supported() bool {
 	return mmapAvailable && strconv.IntSize == 64 && hostLittleEndian() && entryLayoutOK
 }
 
-// Open opens a saved index. g may be nil for self-contained v3 snapshots, in
-// which case the embedded graph is reconstructed (zero-copy when mapped);
-// when g is supplied it becomes the graph queries run on, and for v3 files
-// the embedded graph's shape is cross-checked against it. v1/v2 files do not
-// embed a graph and require g.
+// Open opens a saved v3 or v4 snapshot. g is normally nil: the embedded graph
+// is reconstructed (zero-copy when mapped). When g is supplied it becomes the
+// graph queries run on, and the embedded graph's shape is cross-checked
+// against it.
 //
-// Open memory-maps v2/v3 snapshots when the platform supports it and falls
-// back to the streaming loader otherwise (and for v1 files).
+// Open memory-maps the file when the platform supports it and falls back to
+// the streaming loader otherwise.
 func Open(path string, g *graph.Graph, opts Options) (*Snapshot, error) {
 	if opts.ForceStream || !Supported() {
 		return openStream(path, g)
@@ -129,11 +129,6 @@ func Open(path string, g *graph.Graph, opts Options) (*Snapshot, error) {
 	data, err := mmapFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: mapping %s: %w", path, err)
-	}
-	if v, err := core.SnapshotFileVersion(data); err == nil && v == 1 {
-		// Legacy v1 file: element-streamed, no flat sections to view.
-		munmapFile(data)
-		return openStream(path, g)
 	}
 	snap, err := openMapped(data, g, opts)
 	if err != nil {
@@ -270,19 +265,14 @@ func openMapped(data []byte, g *graph.Graph, opts Options) (*Snapshot, error) {
 func assembleMapped(layout *core.SnapshotLayout, views [numSections]sectionView, g *graph.Graph) (*Snapshot, error) {
 	graphMapped := false
 	if g == nil {
-		if !layout.HasGraph() {
-			return nil, fmt.Errorf("snapshot: v%d files do not embed the graph; supply one", layout.Version)
-		}
 		eg, err := graphFromSections(views, layout)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
 		g, graphMapped = eg, true
-	} else if layout.HasGraph() {
-		if uint64(g.N()) != layout.NNodes || uint64(g.M()) != layout.NumEdges {
-			return nil, fmt.Errorf("snapshot: embedded graph is %d nodes / %d edges but supplied graph is %d / %d",
-				layout.NNodes, layout.NumEdges, g.N(), g.M())
-		}
+	} else if uint64(g.N()) != layout.NNodes || uint64(g.M()) != layout.NumEdges {
+		return nil, fmt.Errorf("snapshot: embedded graph is %d nodes / %d edges but supplied graph is %d / %d",
+			layout.NNodes, layout.NumEdges, g.N(), g.M())
 	}
 	idx, err := core.NewIndexFromSnapshot(g, layout,
 		viewSlice[float64](views[0]),
@@ -299,7 +289,7 @@ func assembleMapped(layout *core.SnapshotLayout, views [numSections]sectionView,
 	return s, nil
 }
 
-// graphFromSections assembles the embedded graph of a v3+ snapshot: the CSR
+// graphFromSections assembles the embedded graph of a snapshot: the CSR
 // offset and adjacency arrays are zero-copy views over the mapping(s), while
 // the label table (when present) is materialized onto the heap so labels
 // survive the mapping being closed (label strings escape into query
@@ -350,7 +340,7 @@ func viewSlice[T any](v sectionView) []T {
 
 // openStream is the portable fallback: parse the file with the streaming
 // loader into heap-allocated slices, reconstructing the graph too when the
-// caller did not supply one (self-contained v3 files only).
+// caller did not supply one.
 func openStream(path string, g *graph.Graph) (*Snapshot, error) {
 	var idx *core.Index
 	var err error

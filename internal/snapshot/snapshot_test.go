@@ -1,10 +1,15 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,13 +18,15 @@ import (
 	"prsim/internal/graph"
 )
 
-func buildFixture(t *testing.T) (*graph.Graph, *core.Index, string) {
+// buildFixture saves an index with hubs and entries, so mapped opens read a
+// real entry slab.
+func buildFixture(t testing.TB) (*graph.Graph, *core.Index, string) {
 	t.Helper()
 	g, err := gen.PowerLaw(gen.PowerLawOptions{N: 400, AvgDegree: 6, Gamma: 2.5, Directed: true, Seed: 7})
 	if err != nil {
 		t.Fatalf("PowerLaw: %v", err)
 	}
-	idx, err := core.BuildIndex(g, core.Options{Epsilon: 0.2, Seed: 3})
+	idx, err := core.BuildIndex(g, core.Options{Epsilon: 0.05, NumHubs: 20, Seed: 3, SampleScale: 0.05})
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
@@ -68,7 +75,7 @@ func TestOpenMapped(t *testing.T) {
 	}
 }
 
-// TestOpenSelfContained is the headline v3 capability: no graph supplied, the
+// TestOpenSelfContained is the headline capability: no graph supplied, the
 // embedded CSR structure is reconstructed from the same mapping, and queries
 // are bit-identical to an index over the original in-memory graph.
 func TestOpenSelfContained(t *testing.T) {
@@ -131,7 +138,7 @@ func TestOpenSelfContained(t *testing.T) {
 	}
 }
 
-// TestOpenSelfContainedLabels round-trips the label table through a v3 file,
+// TestOpenSelfContainedLabels round-trips the label table through a snapshot,
 // on both the mmap and streaming paths.
 func TestOpenSelfContainedLabels(t *testing.T) {
 	b := graph.NewBuilder()
@@ -178,37 +185,119 @@ func TestOpenSelfContainedLabels(t *testing.T) {
 	}
 }
 
-// TestOpenV2RequiresGraph pins the compatibility contract: v2 files load with
-// a supplied graph and fail with a clear error without one.
-func TestOpenV2RequiresGraph(t *testing.T) {
-	g, built, _ := buildFixture(t)
-	v2Path := filepath.Join(t.TempDir(), "index.v2.prsim")
-	f, err := os.Create(v2Path)
-	if err != nil {
-		t.Fatalf("Create: %v", err)
+// writeFile writes data to a fresh file in a test temp dir.
+func writeFile(t testing.TB, name string, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
-	if err := built.SaveV2(f); err != nil {
-		t.Fatalf("SaveV2: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	for _, opts := range []Options{{}, {ForceStream: true}} {
-		snap, err := Open(v2Path, g, opts)
-		if err != nil {
-			t.Fatalf("Open v2 with graph (ForceStream=%v): %v", opts.ForceStream, err)
-		}
-		idx := mustIndex(t, snap)
-		if idx.NumHubs() != built.NumHubs() {
-			t.Errorf("v2 hub count %d, want %d", idx.NumHubs(), built.NumHubs())
-		}
-		if _, err := idx.Query(1); err != nil {
-			t.Errorf("v2 query: %v", err)
-		}
-		snap.Close()
+	return path
+}
 
-		if _, err := Open(v2Path, nil, opts); err == nil {
-			t.Errorf("v2 without graph should fail (ForceStream=%v)", opts.ForceStream)
+// backings is both ways Open can back a snapshot: mapped (streaming on
+// platforms without zero-copy support) and forced streaming.
+var backings = []Options{{}, {ForceStream: true}}
+
+// TestOpenV3 opens a real version-3 file — the fixture's v4 snapshot with
+// its generation block removed — on both backings and requires the v4
+// open's serving state: bit-identical scores and the fresh build's
+// generation stamps.
+func TestOpenV3(t *testing.T) {
+	_, _, path := buildFixture(t)
+	v4, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	v3, err := core.SnapshotAsV3(v4)
+	if err != nil {
+		t.Fatalf("SnapshotAsV3: %v", err)
+	}
+	v3Path := writeFile(t, "index.v3.prsim", v3)
+	full, err := Open(path, nil, Options{})
+	if err != nil {
+		t.Fatalf("Open (v4): %v", err)
+	}
+	defer full.Close()
+	for _, opts := range backings {
+		snap, err := Open(v3Path, nil, opts)
+		if err != nil {
+			t.Fatalf("Open v3 (ForceStream=%v): %v", opts.ForceStream, err)
+		}
+		if Supported() && snap.Mapped() == opts.ForceStream {
+			t.Errorf("v3 open (ForceStream=%v) reports Mapped=%v", opts.ForceStream, snap.Mapped())
+		}
+		// The v4 file carries the fresh build's stamps, which the v3 load
+		// must synthesize.
+		requireSameServingState(t, snap, mustIndex(t, full))
+		snap.Close()
+	}
+}
+
+// TestOpenRejectsUnsupportedVersions pins the version policy on both
+// backings: v1 and v2 files (which never embedded the graph) and unknown
+// versions fail to open, with or without a supplied graph, with an error
+// naming the version.
+func TestOpenRejectsUnsupportedVersions(t *testing.T) {
+	g, _, path := buildFixture(t)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	for _, v := range []uint64{1, 2, 99} {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(b[8:], v)
+		bad := writeFile(t, fmt.Sprintf("index.v%d.prsim", v), b)
+		want := fmt.Sprintf("version %d", v)
+		for _, opts := range backings {
+			for _, sg := range []*graph.Graph{nil, g} {
+				if snap, err := Open(bad, sg, opts); err == nil {
+					snap.Close()
+					t.Errorf("version-%d file opened (ForceStream=%v, graph supplied=%v)", v, opts.ForceStream, sg != nil)
+				} else if !strings.Contains(err.Error(), want) {
+					t.Errorf("version-%d open error %q does not name %q", v, err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestOpenRejectsOutOfRangeEntryNode corrupts every entry slab record to name
+// a node past the graph and fixes up the CRC trailer, so only the entry-id
+// check can catch it. Queries index per-node score arrays with entry ids, so
+// an open that let the file through would panic on its first query.
+func TestOpenRejectsOutOfRangeEntryNode(t *testing.T) {
+	_, _, path := buildFixture(t)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	layout, err := core.ParseSnapshotLayout(good)
+	if err != nil {
+		t.Fatalf("ParseSnapshotLayout: %v", err)
+	}
+	slab := layout.Sections[layout.EntrySlabIndex()]
+	if slab.Len == 0 {
+		t.Fatal("fixture index has no entries")
+	}
+	for _, node := range []uint32{1 << 30, 0xFFFFFFF0} {
+		b := append([]byte(nil), good...)
+		for off := slab.Off; off < slab.End(); off += 16 {
+			binary.LittleEndian.PutUint32(b[off:], node)
+		}
+		payload := b[layout.Sections[0].Off : len(b)-8]
+		binary.LittleEndian.PutUint64(b[len(b)-8:], uint64(crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))))
+		bad := writeFile(t, "entries.prsim", b)
+		for _, opts := range backings {
+			snap, err := Open(bad, nil, opts)
+			if err == nil {
+				_, qerr := mustIndex(t, snap).Query(0)
+				snap.Close()
+				t.Fatalf("entry ids %#x opened (ForceStream=%v); first query: %v", node, opts.ForceStream, qerr)
+			}
+			if !strings.Contains(err.Error(), "names node") {
+				t.Errorf("entry ids %#x (ForceStream=%v): error %q does not name the entry node", node, opts.ForceStream, err)
+			}
 		}
 	}
 }
@@ -283,7 +372,7 @@ func TestOpenChecksumMismatch(t *testing.T) {
 		}
 		snap.Close()
 	}
-	// The streaming loader always checksums v2/v3 payloads as it parses.
+	// The streaming loader always checksums the payload as it parses.
 	if _, err := Open(bad, g, Options{ForceStream: true}); err == nil {
 		t.Fatalf("streaming load of corrupted payload should fail")
 	}
@@ -489,4 +578,69 @@ func TestWarmUp(t *testing.T) {
 			snap.WarmUp() // must be a safe no-op on a closed snapshot
 		})
 	}
+}
+
+// FuzzOpenMapped asserts the zero-copy opener returns clean errors — never
+// panics — on arbitrary file contents: each input either fails to open or
+// yields an index that answers Query(0). Inputs go through a real file and
+// mapping, because Close unmaps what Open mapped.
+func FuzzOpenMapped(f *testing.F) {
+	if !Supported() {
+		f.Skip("zero-copy snapshots unsupported on this platform")
+	}
+	// A small index with hubs keeps each input cheap to write, map and query,
+	// so the fuzzer spends its time on mutations rather than I/O.
+	g, err := gen.PowerLaw(gen.PowerLawOptions{N: 60, AvgDegree: 4, Gamma: 2.5, Directed: true, Seed: 7})
+	if err != nil {
+		f.Fatalf("PowerLaw: %v", err)
+	}
+	built, err := core.BuildIndex(g, core.Options{Epsilon: 0.1, NumHubs: 4, Seed: 3, SampleScale: 0.05})
+	if err != nil {
+		f.Fatalf("BuildIndex: %v", err)
+	}
+	wantOpts := built.Options()
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		f.Fatalf("Save: %v", err)
+	}
+	good := buf.Bytes()
+	v3, err := core.SnapshotAsV3(good)
+	if err != nil {
+		f.Fatalf("SnapshotAsV3: %v", err)
+	}
+	f.Add(good)
+	f.Add(v3)
+	f.Add(good[:16])
+	f.Add(good[:len(good)/2])
+	f.Add([]byte("not an index at all"))
+	dir := f.TempDir()
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := os.CreateTemp(dir, "fuzz-*.prsim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer os.Remove(file.Name())
+		if _, err := file.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := file.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := Open(file.Name(), nil, Options{})
+		if err != nil {
+			return
+		}
+		defer snap.Close()
+		// Query only when the options survived untampered: the header is not
+		// checksummed, and a mutated epsilon can legitimately parse yet make
+		// the (correct) query astronomically expensive.
+		idx := mustIndex(t, snap)
+		if idx.Options() != wantOpts {
+			return
+		}
+		if _, err := idx.Query(0); err != nil {
+			t.Fatalf("opened index cannot query: %v", err)
+		}
+	})
 }

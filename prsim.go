@@ -347,8 +347,9 @@ func (idx *Index) Save(w io.Writer) error { return idx.idx.Save(w) }
 // SaveFile writes the index to a file.
 func (idx *Index) SaveFile(path string) error { return idx.idx.SaveFile(path) }
 
-// LoadIndex restores an index previously written with Save. The graph must be
-// the same graph the index was built from.
+// LoadIndex restores an index previously written with Save (a v4 snapshot, or
+// v3; v1 and v2 files are rejected). The graph must be the same graph the
+// index was built from.
 func LoadIndex(r io.Reader, g *Graph) (*Index, error) {
 	if g == nil {
 		return nil, fmt.Errorf("prsim: nil graph")
@@ -379,22 +380,23 @@ func LoadIndexFile(path string, g *Graph) (*Index, error) {
 // share one page cache. Query results are bit-identical to LoadIndexFile for
 // the same file and graph.
 //
-// g may be nil for self-contained v3 snapshots: the graph embedded in the
-// file (CSR adjacency plus any node labels) is reconstructed from the same
-// mapping, so no edge-list file is needed at all. Legacy v1/v2 files do not
-// embed a graph and require g; for v3 files a supplied g is cross-checked
-// against the embedded graph's shape and then used for queries.
+// The file must be a v4 snapshot (or v3, which lacks only the generation
+// block); v1 and v2 files are rejected. g is normally nil: the graph embedded
+// in the file (CSR adjacency plus any node labels) is reconstructed from the
+// same mapping, so no edge-list file is needed at all. A supplied g is
+// cross-checked against the embedded graph's shape and then used for queries.
 //
-// On platforms without zero-copy support (and for legacy v1 index files) it
-// transparently falls back to the streaming loader; Backing and GraphBacking
+// On platforms without zero-copy support it transparently falls back to the
+// streaming loader; Backing and GraphBacking
 // report which path was taken. A snapshot-backed index must be released with
 // Close when no longer needed; Close defers the unmap until queries running
 // through an Engine have drained.
 //
 // OpenSnapshot always validates the structural invariants that queries rely
-// on for memory safety (including the embedded graph's CSR bounds), but
-// skips the CRC of the bulk payload so opening stays cheap; call Verify to
-// run the full integrity check (it faults in every page once).
+// on for memory safety (including the embedded graph's CSR bounds and the
+// index entries' node ids), but skips the CRC of the bulk payload so opening
+// stays cheap; call Verify to run the full integrity check (it faults in
+// every page once).
 func OpenSnapshot(path string, g *Graph) (*Index, error) {
 	var ig *graph.Graph
 	if g != nil {

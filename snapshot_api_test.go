@@ -103,9 +103,9 @@ func TestOpenSnapshotErrors(t *testing.T) {
 	}
 }
 
-// TestOpenSnapshotSelfContainedAPI drives the v3 headline through the public
-// API: Save embeds the graph, OpenSnapshot(path, nil) needs no graph at all,
-// labels survive, and queries match an index over the original graph.
+// TestOpenSnapshotSelfContainedAPI drives the self-contained open through the
+// public API: Save embeds the graph, OpenSnapshot(path, nil) needs no graph at
+// all, labels survive, and queries match an index over the original graph.
 func TestOpenSnapshotSelfContainedAPI(t *testing.T) {
 	g, err := NewGraphFromLabelledEdges([][2]string{
 		{"a", "b"}, {"b", "c"}, {"c", "a"}, {"d", "a"}, {"c", "d"},
