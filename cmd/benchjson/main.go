@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go test -bench . -benchtime 1x -run '^$' ./... | benchjson -o BENCH_ci.json
+//	go test -bench . -benchtime 50ms -count 5 -timeout 30m -run '^$' ./... | benchjson -o BENCH_ci.json
 //	go test -bench . ./... | benchjson          # JSON to stdout
 //	benchjson -compare -max-regress 20 -match 'Query|Snapshot' base.json head.json
 //
@@ -15,13 +15,15 @@
 //	BenchmarkQueryThroughput-8   	 100	  10563000 ns/op	  760000 B/op	      82 allocs/op
 //
 // keeping every extra metric column (B/op, allocs/op, and any custom
-// ReportMetric units) in a per-benchmark metrics map. Non-benchmark lines are
-// passed through to stderr with -echo, so the tool can sit in a pipeline
-// without hiding test failures.
+// ReportMetric units) in a per-benchmark metrics map. The lines one
+// benchmark prints under -count N are folded into one result holding the
+// median of each column, with the sample count alongside. Non-benchmark
+// lines are passed through to stderr with -echo, so the tool can sit in a
+// pipeline without hiding test failures.
 //
 // In -compare mode it reads two previously written reports (base first, head
 // second), matches benchmarks by package + name, and exits non-zero when any
-// benchmark whose name matches -match regressed in ns/op by more than
+// benchmark whose name matches -match regressed in median ns/op by more than
 // -max-regress percent. Benchmarks present in only one report are listed but
 // never fail the gate (new benchmarks must not break the build that adds
 // them).
@@ -42,12 +44,16 @@ import (
 	"time"
 )
 
-// Result is one parsed benchmark line.
+// Result is one benchmark: its parsed line, or the median of its lines.
 type Result struct {
 	// Name is the benchmark name including the -P GOMAXPROCS suffix.
 	Name string `json:"name"`
 	// Pkg is the import path from the preceding "pkg:" line, if any.
 	Pkg string `json:"pkg,omitempty"`
+	// Samples is the number of result lines folded into this one (the
+	// -count the benchmark ran at); reports written before folding existed
+	// leave it 0, meaning one.
+	Samples int `json:"samples,omitempty"`
 	// Runs is the iteration count (the first column).
 	Runs int64 `json:"runs"`
 	// NsPerOp is the ns/op metric, the one column every line has.
@@ -269,7 +275,59 @@ func parse(r io.Reader, echo bool) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	report.Benchmarks = fold(report.Benchmarks)
 	return report, nil
+}
+
+// fold merges the lines of each benchmark (package + name) into one result
+// in first-appearance order: Runs, NsPerOp and every metric become their
+// median over the lines, and Samples counts them. A metric missing from some
+// lines takes the median of the lines that have it.
+func fold(lines []Result) []Result {
+	var order []string
+	groups := make(map[string][]Result)
+	for _, r := range lines {
+		k := r.Pkg + " " + r.Name
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		res := Result{Name: g[0].Name, Pkg: g[0].Pkg, Samples: len(g)}
+		var runs, ns []float64
+		metrics := make(map[string][]float64)
+		for _, r := range g {
+			runs = append(runs, float64(r.Runs))
+			ns = append(ns, r.NsPerOp)
+			for unit, v := range r.Metrics {
+				metrics[unit] = append(metrics[unit], v)
+			}
+		}
+		res.Runs = int64(median(runs))
+		res.NsPerOp = median(ns)
+		if len(metrics) > 0 {
+			res.Metrics = make(map[string]float64, len(metrics))
+		}
+		for unit, vs := range metrics {
+			res.Metrics[unit] = median(vs)
+		}
+		out = append(out, res)
+	}
+	return out
+}
+
+// median returns the median of vs (the mean of the middle two for an even
+// count), sorting vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
+	}
+	return (vs[mid-1] + vs[mid]) / 2
 }
 
 // parseBenchLine parses one "BenchmarkName-8  N  V unit  V unit ..." line.

@@ -56,6 +56,45 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseFoldsCount: the lines one benchmark prints under -count fold
+// into one result holding the median of every column and the sample count,
+// in first-appearance order; a benchmark of the same name in another
+// package stays separate.
+func TestParseFoldsCount(t *testing.T) {
+	const counted = `pkg: prsim
+BenchmarkRangeCoalescing-2   	 4000000	       300 ns/op	      64 B/op	       2 allocs/op
+BenchmarkQueryInto-2         	     100	  10000000 ns/op
+BenchmarkRangeCoalescing-2   	 3000000	       462 ns/op	      64 B/op	       2 allocs/op
+BenchmarkQueryInto-2         	     120	   9000000 ns/op
+BenchmarkRangeCoalescing-2   	 5000000	       249 ns/op	      64 B/op	       3 allocs/op
+BenchmarkRangeCoalescing-2   	 4000000	       310 ns/op	      64 B/op	       2 allocs/op
+BenchmarkRangeCoalescing-2   	 4000000	       305 ns/op	      64 B/op	       2 allocs/op
+pkg: prsim/internal/engine
+BenchmarkQueryInto-2         	      50	  20000000 ns/op
+`
+	report, err := parse(strings.NewReader(counted), false)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if len(report.Benchmarks) != 3 {
+		t.Fatalf("folded into %d benchmarks, want 3: %+v", len(report.Benchmarks), report.Benchmarks)
+	}
+	rc := report.Benchmarks[0]
+	if rc.Name != "BenchmarkRangeCoalescing-2" || rc.Samples != 5 || rc.NsPerOp != 305 || rc.Runs != 4000000 {
+		t.Errorf("RangeCoalescing = %+v, want 5 samples, median 305 ns/op over 4000000 runs", rc)
+	}
+	if rc.Metrics["B/op"] != 64 || rc.Metrics["allocs/op"] != 2 {
+		t.Errorf("RangeCoalescing metrics = %v, want medians 64 B/op, 2 allocs/op", rc.Metrics)
+	}
+	qi := report.Benchmarks[1]
+	if qi.Pkg != "prsim" || qi.Samples != 2 || qi.NsPerOp != 9500000 || qi.Runs != 110 || qi.Metrics != nil {
+		t.Errorf("QueryInto = %+v, want 2 samples with median 9500000 ns/op over 110 runs", qi)
+	}
+	if eq := report.Benchmarks[2]; eq.Pkg != "prsim/internal/engine" || eq.Samples != 1 || eq.NsPerOp != 20000000 {
+		t.Errorf("engine QueryInto = %+v, want its own single sample", eq)
+	}
+}
+
 func TestParseIgnoresNoise(t *testing.T) {
 	noise := `Benchmark
 BenchmarkBroken-8 notanumber 5 ns/op

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"prsim/internal/graph"
@@ -25,15 +26,11 @@ type backwardWalker struct {
 	sqrtC float64
 	rng   *walk.RNG
 
-	// outOff indexes edges, the packed out-adjacency: edges[k] carries the
-	// head node of the k-th CSR out-edge together with that head's in-degree,
-	// so the walk's threshold scans stream one 8-byte record per edge instead
-	// of chasing a random in-degree lookup per neighbor. recipIn[y] holds
-	// 1/InDegree(y), replacing the deterministic part's division with a
-	// multiply. Query states share both tables, owned by the Index.
-	outOff  []int
-	edges   []outEdge
-	recipIn []float64
+	// outOff indexes the walk tables' packed out-adjacency. Query states
+	// share the Index's tables; a standalone walker builds its own on first
+	// use.
+	outOff []int
+	walkTables
 
 	// cur/next are dense frontier values indexed by node; curTouched and
 	// nextTouched list the nodes with non-zero entries. Outside a call, next is
@@ -62,30 +59,59 @@ type outEdge struct {
 	din  int32
 }
 
-// setDegreeTables points the walker at shared walk tables (typically the
-// Index's); walkers without shared tables build their own on first use.
-func (b *backwardWalker) setDegreeTables(edges []outEdge, recipIn []float64) {
-	b.edges, b.recipIn = edges, recipIn
+// walkRec is one node's walk record: its hub rank (-1 for non-hubs), which
+// the walk phase reads once per walk end, and minDin, the in-degree of the
+// head of its first out-edge (math.MaxInt32 when it has none), which the
+// backward walk reads once per expanded frontier node. Out-adjacency is
+// sorted by head in-degree, so minDin is the smallest head in-degree, and a
+// node whose minDin exceeds both expansion thresholds expands nothing.
+type walkRec struct {
+	hubRank int32
+	minDin  int32
 }
 
-// buildDegreeTables computes the packed out-adjacency (head node + head
-// in-degree per edge) and the node-indexed reciprocal-in-degree table.
-// Nodes with in-degree zero get reciprocal zero; they can never be an
-// out-neighbor, so the walk loops never read those slots.
-func buildDegreeTables(g *graph.Graph) (edges []outEdge, recipIn []float64) {
-	_, outAdj, inOff, _ := g.CSR()
-	edges = make([]outEdge, len(outAdj))
-	for k, y := range outAdj {
-		edges[k] = outEdge{node: y, din: int32(inOff[y+1] - inOff[y])}
-	}
+// walkTables are the read-only per-index tables the walk kernels share.
+// edges[k] carries the head node of the k-th CSR out-edge together with that
+// head's in-degree, so the backward walk's threshold scans stream one 8-byte
+// record per edge instead of chasing a random in-degree lookup per neighbor;
+// recipIn[y] holds 1/InDegree(y), replacing the deterministic part's division
+// with a multiply; recs[v] is node v's walkRec.
+type walkTables struct {
+	edges   []outEdge
+	recipIn []float64
+	recs    []walkRec
+}
+
+// buildWalkTables computes the packed out-adjacency, the node-indexed
+// reciprocal-in-degree table and the walk records, taking hub ranks from
+// hubRank (nil: no hubs). Nodes with in-degree zero get reciprocal zero;
+// they can never be an out-neighbor, so the walk loops never read those
+// slots.
+func buildWalkTables(g *graph.Graph, hubRank []int) walkTables {
+	outOff, outAdj, inOff, _ := g.CSR()
 	n := g.N()
-	recipIn = make([]float64, n)
+	t := walkTables{
+		edges:   make([]outEdge, len(outAdj)),
+		recipIn: make([]float64, n),
+		recs:    make([]walkRec, n),
+	}
+	for k, y := range outAdj {
+		t.edges[k] = outEdge{node: y, din: int32(inOff[y+1] - inOff[y])}
+	}
 	for v := 0; v < n; v++ {
 		if d := g.InDegree(v); d > 0 {
-			recipIn[v] = 1 / float64(d)
+			t.recipIn[v] = 1 / float64(d)
 		}
+		rec := walkRec{hubRank: -1, minDin: math.MaxInt32}
+		if hubRank != nil {
+			rec.hubRank = int32(hubRank[v])
+		}
+		if outOff[v] < outOff[v+1] {
+			rec.minDin = t.edges[outOff[v]].din
+		}
+		t.recs[v] = rec
 	}
-	return edges, recipIn
+	return t
 }
 
 // reset re-seeds the walker's generator as if it were freshly constructed with
@@ -102,7 +128,7 @@ func (b *backwardWalker) ensureScratch() {
 		b.next = make([]float64, n)
 	}
 	if b.edges == nil {
-		b.edges, b.recipIn = buildDegreeTables(b.g)
+		b.walkTables = buildWalkTables(b.g, nil)
 	}
 }
 
@@ -128,13 +154,22 @@ func (b *backwardWalker) clearScratch() {
 // without the per-level sort the historical sorted-frontier contract paid
 // for. (The two contracts consume different random streams; see the package
 // determinism notes in Options.)
+//
+// Each surviving frontier node x draws its randomized-part variate r right
+// after its stop coin — the deterministic part consumes no randomness, so
+// this is the stream Algorithm 3 reads in its own order — and is then
+// prechecked against its walk record: the randomized threshold
+// π̂/(r(1-√c)) is at least the deterministic one π̂/(1-√c), so when x's
+// first-head in-degree exceeds it both scans would stop at their first
+// edge, and x is skipped without loading its adjacency. Estimates, stream
+// and Cost() are those of the unchecked scans.
 func (b *backwardWalker) varianceBoundedInto(w, level int) (touched []int, values []float64) {
 	b.ensureScratch()
 	b.clearScratch()
 	b.cur[w] = b.alpha
 	b.curTouched = append(b.curTouched, w)
 	outOff := b.outOff
-	edges, recipIn := b.edges, b.recipIn
+	edges, recipIn, recs := b.edges, b.recipIn, b.recs
 	rng, alpha, sqrtC := b.rng, b.alpha, b.sqrtC
 	cost := b.cost
 	for i := 0; i < level; i++ {
@@ -145,6 +180,11 @@ func (b *backwardWalker) varianceBoundedInto(w, level int) (touched []int, value
 			cur[x] = 0
 			// Stop the walk at x with probability 1-√c.
 			if rng.Float64() >= sqrtC {
+				continue
+			}
+			r := rng.Float64Open()
+			randThreshold := px / (r * alpha)
+			if float64(recs[x].minDin) > randThreshold {
 				continue
 			}
 			j, end := outOff[x], outOff[x+1]
@@ -166,8 +206,6 @@ func (b *backwardWalker) varianceBoundedInto(w, level int) (touched []int, value
 			// Randomized part: out-neighbors with din(y) <= π̂/(r(1-√c)) get a
 			// fixed increment 1-√c, turning the tail into a bounded-variance
 			// Bernoulli contribution.
-			r := rng.Float64Open()
-			randThreshold := px / (r * alpha)
 			for ; j < end; j++ {
 				e := edges[j]
 				if float64(e.din) > randThreshold {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"prsim/internal/gen"
 	"prsim/internal/graph"
 	"prsim/internal/pagerank"
 	"prsim/internal/walk"
@@ -19,6 +21,112 @@ func fixtureGraph() *graph.Graph {
 	})
 	g.SortOutByInDegree()
 	return g
+}
+
+// powerLaw5k is a 5,000-node directed power-law graph (average degree 8,
+// γ = 2.5) with out-adjacency sorted by head in-degree, the shape the
+// backward walk and the walk phase are tuned for.
+func powerLaw5k(t testing.TB) *graph.Graph {
+	t.Helper()
+	g, err := gen.PowerLaw(gen.PowerLawOptions{N: 5000, AvgDegree: 8, Gamma: 2.5, Directed: true, Seed: 11})
+	if err != nil {
+		t.Fatalf("PowerLaw: %v", err)
+	}
+	g.SortOutByInDegree()
+	return g
+}
+
+// referenceVarianceBoundedInto is Algorithm 3 without the expansion
+// precheck: every surviving frontier node loads its adjacency, scans the
+// deterministic part, and only then draws r for the randomized part. The
+// query kernel must match it bit for bit.
+func referenceVarianceBoundedInto(b *backwardWalker, w, level int) (touched []int, values []float64) {
+	b.ensureScratch()
+	b.clearScratch()
+	b.cur[w] = b.alpha
+	b.curTouched = append(b.curTouched, w)
+	for i := 0; i < level; i++ {
+		cur, next := b.cur, b.next
+		nextTouched := b.nextTouched
+		for _, x := range b.curTouched {
+			px := cur[x]
+			cur[x] = 0
+			if b.rng.Float64() >= b.sqrtC {
+				continue
+			}
+			j, end := b.outOff[x], b.outOff[x+1]
+			detThreshold := px / b.alpha
+			for ; j < end; j++ {
+				e := b.edges[j]
+				if float64(e.din) > detThreshold {
+					break
+				}
+				y := int(e.node)
+				if next[y] == 0 {
+					nextTouched = append(nextTouched, y)
+				}
+				next[y] += px * b.recipIn[y]
+				b.cost++
+			}
+			r := b.rng.Float64Open()
+			randThreshold := px / (r * b.alpha)
+			for ; j < end; j++ {
+				e := b.edges[j]
+				if float64(e.din) > randThreshold {
+					break
+				}
+				y := int(e.node)
+				if next[y] == 0 {
+					nextTouched = append(nextTouched, y)
+				}
+				next[y] += b.alpha
+				b.cost++
+			}
+		}
+		b.cur, b.next = next, cur
+		b.curTouched, b.nextTouched = nextTouched, b.curTouched[:0]
+		if len(b.curTouched) == 0 {
+			break
+		}
+	}
+	return b.curTouched, b.cur
+}
+
+// TestVarianceBoundedMatchesReference pins the expansion precheck as exact:
+// over many (w, ℓ, seed) triples the query kernel returns the reference's
+// touched order and value bits, keeps its random stream in step (the
+// walkers run each seed's walks back to back), and reports the same Cost().
+func TestVarianceBoundedMatchesReference(t *testing.T) {
+	g := powerLaw5k(t)
+	nonEmpty, walks := 0, 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		ref := newBackwardWalker(g, 0.6, walk.NewRNG(seed))
+		got := newBackwardWalker(g, 0.6, walk.NewRNG(seed))
+		for w := int(seed); w < g.N(); w += 3 {
+			level := 1 + (w/3)%8
+			rt, rv := referenceVarianceBoundedInto(ref, w, level)
+			gt, gv := got.varianceBoundedInto(w, level)
+			walks++
+			if !slices.Equal(rt, gt) {
+				t.Fatalf("seed %d w=%d level %d: touched %v, reference %v", seed, w, level, gt, rt)
+			}
+			for _, v := range rt {
+				if math.Float64bits(gv[v]) != math.Float64bits(rv[v]) {
+					t.Fatalf("seed %d w=%d level %d: node %d value %v, reference %v", seed, w, level, v, gv[v], rv[v])
+				}
+			}
+			if got.Cost() != ref.Cost() {
+				t.Fatalf("seed %d w=%d level %d: cost %d, reference %d", seed, w, level, got.Cost(), ref.Cost())
+			}
+			if len(rt) > 0 {
+				nonEmpty++
+			}
+		}
+	}
+	if nonEmpty < walks/20 {
+		t.Fatalf("only %d of %d walks returned estimates; the comparison needs expanding walks", nonEmpty, walks)
+	}
+	t.Logf("%d walks, %d non-empty", walks, nonEmpty)
 }
 
 func TestVarianceBoundedBackwardWalkUnbiased(t *testing.T) {

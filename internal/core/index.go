@@ -56,15 +56,17 @@ type Index struct {
 	freeMu     sync.Mutex
 	freeStates []*queryState
 
-	// walkEdges/recipIn are the packed out-adjacency (head node + head
-	// in-degree per edge) and the reciprocal-in-degree table shared by every
-	// pooled backward walker, so the walk's threshold scans stream sequential
-	// records and its inner loop performs no divisions. Built lazily
+	// tables holds what every pooled walk kernel shares: the packed
+	// out-adjacency (head node + head in-degree per edge), the
+	// reciprocal-in-degree table, and the per-node walk records (hub rank +
+	// first-head in-degree), so the walk phase reads one 8-byte record per
+	// walk end, the backward walk's threshold scans stream sequential
+	// records, and its inner loop performs no divisions. Built lazily
 	// (degOnce) so snapshot-backed indexes get them too without paying for
-	// it at open time.
-	degOnce   sync.Once
-	walkEdges []outEdge
-	recipIn   []float64
+	// it at open time; every Index, including each one ApplyUpdates makes,
+	// owns its own.
+	degOnce sync.Once
+	tables  walkTables
 
 	// chunksExecuted counts walk-phase chunks actually run on this index —
 	// including chunks whose query was cancelled before the merge —
@@ -115,13 +117,13 @@ func (idx *Index) WalkChunkCounters() (executed, merged int64) {
 	return idx.chunksExecuted.Load(), idx.chunksMerged.Load()
 }
 
-// degreeTables returns the shared walk tables, building them on first use.
-// Safe for concurrent callers.
-func (idx *Index) degreeTables() (edges []outEdge, recipIn []float64) {
+// walkTables returns the shared walk tables, building them on first use.
+// Safe for concurrent callers; the hub ranks must already be set.
+func (idx *Index) walkTables() walkTables {
 	idx.degOnce.Do(func() {
-		idx.walkEdges, idx.recipIn = buildDegreeTables(idx.g)
+		idx.tables = buildWalkTables(idx.g, idx.hubRank)
 	})
-	return idx.walkEdges, idx.recipIn
+	return idx.tables
 }
 
 // IndexStats reports the cost of preprocessing (Figure 5) and the size of the
@@ -227,7 +229,7 @@ func buildIndex(g *graph.Graph, opts Options, forcedHubs []int) (*Index, error) 
 	// Build the shared walk tables now — they are preprocessing, not query
 	// work (snapshot-opened indexes build them lazily on the first query
 	// instead, keeping open O(header)).
-	idx.degreeTables()
+	idx.walkTables()
 	idx.flattenHubLevels(built)
 	idx.stats.Entries = len(idx.entrySlab)
 	idx.stats.PushTime = time.Since(pushStart)

@@ -43,12 +43,16 @@ type Options struct {
 	// or snapshot backing. The contract is fixed-seed reproducibility on a
 	// given build: every kernel consumes its random stream and accumulates
 	// floating point in a documented canonical order (per-(seed, source,
-	// chunk) splitmix64 streams with batch lane order inside a chunk,
-	// ascending (round, chunk) left-fold merges, first-touch frontier order
-	// for backward walks, levels-ascending / ranks-ascending order for the
-	// index-read pass). Those canonical orders — and hence the exact score
-	// bits — may change between versions of this package when the kernels
-	// change; cross-version bit compatibility is intentionally not promised.
+	// chunk) splitmix64 streams with batch lane order inside a chunk; within
+	// a chunk, length-0 walks skipped, the backward walks of non-hub ends run
+	// in walk order before any η pair, and η pairs sampled in one batch only
+	// for the ends that can contribute — hub ends and non-empty backward
+	// walks; ascending (round, chunk) left-fold merges, first-touch frontier
+	// order for backward walks, levels-ascending / ranks-ascending order for
+	// the index-read pass). Those canonical orders — and hence the exact
+	// score bits — may change between versions of this package when the
+	// kernels change; cross-version bit compatibility is intentionally not
+	// promised.
 	Seed uint64
 	// SampleScale multiplies the number of Monte Carlo samples used by the
 	// query. 1.0 reproduces the paper's worst-case constants

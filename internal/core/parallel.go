@@ -87,9 +87,30 @@ type walkPhase struct {
 	crs                   []chunkResult
 }
 
+// candidate is one walk end of a chunk that can contribute to the answer:
+// a hub end (rank ≥ 0) at the given level, or a non-hub end whose backward
+// walk returned estimates. end is the length of the running state's
+// bwNodes/bwVals once the candidate is kept, so candidate k's estimates are
+// [cands[k-1].end, cands[k].end) — an empty span for a hub end.
+type candidate struct {
+	level, rank, end int32
+}
+
 // runChunk executes global chunk j of ph on this state's kernels: the
-// chunk's √c-walk samples under its private RNG stream, the batched pair
-// meets, hub η·π accumulation and non-hub Variance Bounded Backward Walks.
+// chunk's √c-walk samples under its private RNG stream, then one pass in
+// walk order that keeps only the ends that can change an answer — hub ends,
+// and non-hub ends whose Variance Bounded Backward Walk returned estimates —
+// then the batched pair meets over the kept ends, and finally the fold of
+// the un-met ends, in walk order, into the hub η·π accumulators and the
+// round accumulator.
+//
+// A sample contributes [pair did not meet] × (backward-walk estimate or η·π
+// indicator), and the two factors are drawn from independent streams, so
+// sampling the pair only for kept ends leaves every estimate's
+// distribution unchanged while skipping work that cannot count: a length-0
+// walk stops at u and feeds only s(u,u), which finalize sets to 1, and an
+// empty backward walk contributes 0 whatever its pair does.
+//
 // The state's dense accumulators serve as scratch and are compacted into
 // ph.crs[j], restoring the all-zero invariant — one state can therefore run
 // any number of chunks back to back, and the query's own state runs chunks
@@ -106,33 +127,47 @@ func (s *queryState) runChunk(ph *walkPhase, j int) {
 	cs := min(ph.dr-(j%ph.cpr)*walkChunkSize, walkChunkSize)
 	s.walkBuf = s.walker.SampleN(ph.u, cs, s.walkBuf)
 	cr.walks += cs
-	cands := s.candWalks[:0]
-	nodes := s.candNodes[:0]
+	recs := s.bw.recs
+	cands, ends := s.cands[:0], s.candNodes[:0]
+	bwNodes, bwVals := s.bwNodes[:0], s.bwVals[:0]
 	for _, rs := range s.walkBuf {
-		if !rs.Terminated || rs.Steps >= ph.maxLevels {
+		level := rs.Steps
+		if !rs.Terminated || level == 0 || level >= ph.maxLevels {
 			continue
 		}
-		cands = append(cands, rs)
-		nodes = append(nodes, rs.Node)
+		w := rs.Node
+		rank := recs[w].hubRank
+		if rank < 0 {
+			cr.nonHubHits++
+			touched, values := s.bw.varianceBoundedInto(w, level)
+			if len(touched) == 0 {
+				continue
+			}
+			for _, v := range touched {
+				bwNodes = append(bwNodes, int32(v))
+				bwVals = append(bwVals, values[v]*ph.bwInvDiv)
+			}
+		}
+		cands = append(cands, candidate{level: int32(level), rank: rank, end: int32(len(bwNodes))})
+		ends = append(ends, w)
 	}
-	s.candWalks, s.candNodes = cands, nodes
-	cr.walks += 2 * len(cands)
-	s.metBuf = s.walker.PairMeetsFromN(nodes, s.metBuf)
-	for k, rs := range cands {
-		if s.metBuf[k] {
-			continue
-		}
-		w, level := rs.Node, rs.Steps
-		if rank := s.idx.hubRank[w]; rank >= 0 {
-			s.addEtaPi(level, rank, ph.etaInc)
-			cr.hubHits++
-			continue
-		}
-		cr.nonHubHits++
-		touched, values := s.bw.varianceBoundedInto(w, level)
-		s.accumulate(touched, values, ph.bwInvDiv)
-	}
+	s.cands, s.candNodes, s.bwNodes, s.bwVals = cands, ends, bwNodes, bwVals
+	cr.walks += 2 * len(ends)
 	cr.bwCost += s.bw.Cost() - bw0
+
+	s.metBuf = s.walker.PairMeetsFromN(ends, s.metBuf)
+	lo := int32(0)
+	for k, c := range cands {
+		if !s.metBuf[k] {
+			if c.rank >= 0 {
+				s.addEtaPi(int(c.level), int(c.rank), ph.etaInc)
+				cr.hubHits++
+			} else {
+				s.accumulate(bwNodes[lo:c.end], bwVals[lo:c.end])
+			}
+		}
+		lo = c.end
+	}
 
 	// Compact the chunk's share of the round accumulator.
 	for _, v := range s.roundTouched {

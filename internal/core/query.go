@@ -55,17 +55,24 @@ type QueryStats struct {
 	// build epsilon unless a larger per-request epsilon was supplied (smaller
 	// requests are clamped up to the build epsilon).
 	Epsilon float64
-	// Walks is the total number of √c-walks sampled from the source (n_r)
-	// plus the pairs sampled for the last-meeting estimate.
+	// Walks is the number of √c-walks sampled: the n_r walks from the source
+	// plus two walks per η pair. A pair is sampled only for a walk end that
+	// can change the answer — a hub end, or a non-hub end whose backward
+	// walk returned estimates — never for a walk of length 0, which feeds
+	// only s(u,u).
 	Walks int
 	// BackwardWalkCost is the number of estimator increments performed by
-	// Variance Bounded Backward Walks (the C_B term of the analysis).
+	// Variance Bounded Backward Walks (the C_B term of the analysis). It
+	// counts every non-hub end's walk, including those whose η pair then
+	// met and discarded the estimate.
 	BackwardWalkCost int
 	// IndexEntriesRead is the number of (v, ψ) pairs read from the index (the
 	// C_I term).
 	IndexEntriesRead int
-	// HubHits and NonHubHits count how many sampled walks terminated at hub
-	// and non-hub nodes respectively.
+	// HubHits counts the walks that ended at a hub at level ≥ 1 and whose η
+	// pair did not meet — the samples of the η·π estimates the index-read
+	// pass consumes. NonHubHits counts the walks that ended at a non-hub at
+	// level ≥ 1 (below MaxLevels); each ran one backward walk.
 	HubHits    int
 	NonHubHits int
 	// Chunks is the number of walk-phase work chunks the query's Monte Carlo
@@ -248,11 +255,14 @@ func (idx *Index) QueryIntoCtx(ctx context.Context, u int, res *Result) error {
 // consumes fixed random streams and accumulates floating point in a fixed
 // canonical order — the walk budget splits into chunks whose boundaries and
 // seeds depend only on the effective options (never on the parallelism
-// level), chunk results merge in a sequential left-fold over ascending
-// (round, chunk) order, backward-walk frontiers expand in first-touch order,
-// and the index-read pass visits levels in ascending order with hub ranks
-// ascending within each level — so results are reproducible run-to-run on
-// the same build and bit-identical at every QueryOptions.Parallelism value.
+// level); within a chunk, length-0 walks are skipped, each remaining walk's
+// backward walk (non-hub ends) runs in walk order before any η pair, and the
+// pairs are sampled in one batch for the ends that can contribute; chunk
+// results merge in a sequential left-fold over ascending (round, chunk)
+// order, backward-walk frontiers expand in first-touch order, and the
+// index-read pass visits levels in ascending order with hub ranks ascending
+// within each level — so results are reproducible run-to-run on the same
+// build and bit-identical at every QueryOptions.Parallelism value.
 // Bit-compatibility of scores across versions of this package is
 // intentionally not promised.
 func (idx *Index) QueryIntoOpts(ctx context.Context, u int, res *Result, q QueryOptions) error {

@@ -347,3 +347,73 @@ func TestResultRebound(t *testing.T) {
 	}
 	delete(re.Scores, -1)
 }
+
+// powerLaw5kIndex indexes powerLaw5k at ε = 0.2 with √n hubs and a quarter
+// of the paper's sample constants, the benchmark index's configuration.
+func powerLaw5kIndex(t *testing.T) *Index {
+	t.Helper()
+	idx, err := BuildIndex(powerLaw5k(t), Options{Epsilon: 0.2, NumHubs: -1, Seed: 7, SampleScale: 0.25})
+	if err != nil {
+		t.Fatalf("BuildIndex: %v", err)
+	}
+	return idx
+}
+
+// TestLengthZeroWalksSampleNoPairs: every walk from a source without
+// in-neighbors stops at the source before its first step, and such a walk
+// feeds only s(u,u), which is 1 by definition — so the walk phase samples no
+// η pair and no backward walk for it, and Walks counts exactly the n_r
+// √c-walks.
+func TestLengthZeroWalksSampleNoPairs(t *testing.T) {
+	idx := powerLaw5kIndex(t)
+	u := -1
+	for v := 0; v < idx.g.N(); v++ {
+		if idx.g.InDegree(v) == 0 {
+			u = v
+			break
+		}
+	}
+	if u < 0 {
+		t.Fatal("graph has no node without in-neighbors")
+	}
+	res, err := idx.Query(u)
+	if err != nil {
+		t.Fatalf("Query(%d): %v", u, err)
+	}
+	st := res.Stats
+	if nr := st.RoundsExecuted * idx.opts.samplesPerRound(); st.Walks != nr {
+		t.Errorf("source %d: Walks = %d, want n_r = %d (no pairs)", u, st.Walks, nr)
+	}
+	if st.HubHits != 0 || st.NonHubHits != 0 || st.BackwardWalkCost != 0 {
+		t.Errorf("source %d: hub hits %d, non-hub hits %d, backward-walk cost %d; want all 0",
+			u, st.HubHits, st.NonHubHits, st.BackwardWalkCost)
+	}
+	if len(res.Scores) != 1 || res.Scores[u] != 1 {
+		t.Errorf("source %d: scores %v, want {%d: 1}", u, res.Scores, u)
+	}
+}
+
+// TestWalkPhaseSamplesFewPairs bounds the η pairs the walk phase samples:
+// only hub ends and non-hub ends whose backward walk returned estimates get
+// one, which on a power-law graph is a small fraction of the n_r walks.
+// A pair for every walk that ends at its drawn length would be ~1 per walk
+// here (637,033 over these 638,064 walks); the walk phase draws 77,676, so
+// the bound of 1 per 5 walks sits between the two.
+func TestWalkPhaseSamplesFewPairs(t *testing.T) {
+	idx := powerLaw5kIndex(t)
+	pairs, nr := 0, 0
+	for i := range 8 {
+		u := (i * 613) % idx.g.N()
+		res, err := idx.Query(u)
+		if err != nil {
+			t.Fatalf("Query(%d): %v", u, err)
+		}
+		n := res.Stats.RoundsExecuted * idx.opts.samplesPerRound()
+		nr += n
+		pairs += (res.Stats.Walks - n) / 2
+	}
+	t.Logf("%d pairs over %d walks (%.3f per walk)", pairs, nr, float64(pairs)/float64(nr))
+	if pairs*5 > nr {
+		t.Errorf("%d pairs over %d walks, want at most 1 per 5 walks", pairs, nr)
+	}
+}

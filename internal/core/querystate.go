@@ -20,13 +20,17 @@ type queryState struct {
 	walker *walk.Walker
 	bw     *backwardWalker
 
-	// walkBuf holds one round's batch of √c-walk samples (d_r entries);
-	// candWalks/candNodes collect the walks eligible for the η·π estimate and
-	// metBuf their batched pair-meet indicators.
+	// walkBuf holds one chunk's batch of √c-walk samples; cands lists, in
+	// walk order, the chunk's ends that can contribute (see runChunk),
+	// candNodes their end nodes for the batched pair-meet kernel and metBuf
+	// its indicators; bwNodes/bwVals hold the kept backward walks' estimates,
+	// already scaled by 1/(α²·d_r), in spans the candidates delimit.
 	walkBuf   []walk.Result
-	candWalks []walk.Result
+	cands     []candidate
 	candNodes []int
 	metBuf    []bool
+	bwNodes   []int32
+	bwVals    []float64
 
 	// etaVals/etaTouched accumulate the η(w)·π_ℓ(u,w) estimates densely per
 	// level, indexed by hub *rank*: etaVals[ℓ] is a j0-sized value buffer
@@ -103,7 +107,7 @@ func newQueryState(idx *Index) *queryState {
 		panic("core: queryState on invalid index: " + err.Error())
 	}
 	bw := newBackwardWalker(idx.g, idx.opts.C, walk.NewRNG(0))
-	bw.setDegreeTables(idx.degreeTables())
+	bw.walkTables = idx.walkTables()
 	return &queryState{
 		idx:      idx,
 		rng:      rng,
@@ -196,16 +200,16 @@ func (s *queryState) scoreInto(v int, val float64) {
 	s.scoreAcc[v] += val
 }
 
-// accumulate folds one backward-walk estimate (touched nodes indexing into a
-// dense value buffer) into the current round's accumulator, scaling each
-// contribution by invDiv = 1/(α²·d_r) (the running-mean shape of
-// Algorithm 4, with the division hoisted out of the loop).
-func (s *queryState) accumulate(touched []int, values []float64, invDiv float64) {
-	for _, v := range touched {
+// accumulate folds one backward-walk estimate — nodes with their values
+// already scaled by 1/(α²·d_r), the running-mean shape of Algorithm 4 —
+// into the current round's accumulator.
+func (s *queryState) accumulate(nodes []int32, vals []float64) {
+	for t, v32 := range nodes {
+		v := int(v32)
 		if s.roundAcc[v] == 0 {
 			s.roundTouched = append(s.roundTouched, v)
 		}
-		s.roundAcc[v] += values[v] * invDiv
+		s.roundAcc[v] += vals[t]
 	}
 }
 

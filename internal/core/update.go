@@ -298,7 +298,7 @@ func (idx *Index) ApplyUpdatesOpts(updates []graph.EdgeUpdate, uo UpdateOptions)
 	}
 	stats.Pushes = pushes
 	nidx.flattenHubLevels(built)
-	nidx.degreeTables()
+	nidx.walkTables()
 	stats.PushTime = time.Since(pushStart)
 
 	nidx.stats = IndexStats{

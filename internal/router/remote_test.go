@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,18 +192,43 @@ func mountRemoteShards(t testing.TB, tr http.RoundTripper, shards [][]string, re
 }
 
 // fastResilience keeps chaos tests quick: no hedging (single replica per
-// shard anyway), tight budgets, short cooldowns. AttemptTimeout bounds what
-// a blackholed replica can cost while leaving ample room for real
-// computation under the race detector.
-func fastResilience() ResilienceOptions {
+// shard anyway), tight budgets, short cooldowns. Its attempt timeout is half
+// the time left before the test's deadline (a minute without one): a
+// healthy shard computing under the race detector, with other packages'
+// tests competing for the CPUs, never times out, and only an injected fault
+// is slow (see blackholeCap).
+func fastResilience(t *testing.T) ResilienceOptions {
+	attempt := time.Minute
+	if dl, ok := t.Deadline(); ok {
+		attempt = time.Until(dl) / 2
+	}
 	return ResilienceOptions{
 		MaxAttempts:      2,
 		RetryBackoff:     time.Millisecond,
-		AttemptTimeout:   500 * time.Millisecond,
+		AttemptTimeout:   attempt,
 		DisableHedge:     true,
 		BreakerThreshold: 2,
 		BreakerCooldown:  100 * time.Millisecond,
 	}
+}
+
+// blackholeCap ends each request to the host it caps after d. Layered over
+// a FaultTransport that blackholes the same host, it gives every blackholed
+// attempt the fixed cost a production attempt timeout would, while calls to
+// other hosts keep fastResilience's deadline.
+type blackholeCap struct {
+	next http.RoundTripper
+	d    time.Duration
+	host atomic.Pointer[string] // nil caps nothing
+}
+
+func (c *blackholeCap) RoundTrip(req *http.Request) (*http.Response, error) {
+	if h := c.host.Load(); h != nil && strings.Contains(req.URL.Host, *h) {
+		ctx, cancel := context.WithTimeout(req.Context(), c.d)
+		defer cancel()
+		req = req.WithContext(ctx)
+	}
+	return c.next.RoundTrip(req)
 }
 
 // shardHosts names one single-replica endpoint per shard: s0, s1, ...
@@ -294,7 +320,7 @@ func TestRemoteBitParity(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			hosts, endpoints := shardHosts(shards)
 			cluster := newStubCluster(t, idx, hosts...)
-			s := mountRemoteShards(t, &HandlerTransport{Handler: cluster}, endpoints, fastResilience())
+			s := mountRemoteShards(t, &HandlerTransport{Handler: cluster}, endpoints, fastResilience(t))
 			if !s.Remote() {
 				t.Fatal("Remote() = false for a remote graph")
 			}
@@ -364,7 +390,7 @@ func TestRemoteRetriesTransientError(t *testing.T) {
 	cluster := newStubCluster(t, idx, "s0")
 	flaky := &failFirstN{next: &HandlerTransport{Handler: cluster}}
 	flaky.remaining.Store(1)
-	res := fastResilience()
+	res := fastResilience(t)
 	res.BreakerThreshold = 3 // the blip must not trip the breaker
 	s := mountRemoteShards(t, flaky, [][]string{{"http://s0"}}, res)
 
@@ -398,7 +424,7 @@ func TestRemoteBreakerOpensAndRecovers(t *testing.T) {
 
 	cluster := newStubCluster(t, idx, "s0")
 	fault := NewFaultTransport(&HandlerTransport{Handler: cluster}, 1)
-	res := fastResilience()
+	res := fastResilience(t)
 	res.MaxAttempts = 1 // one attempt per call makes the failure count explicit
 	s := mountRemoteShards(t, fault, [][]string{{"http://s0"}}, res)
 
@@ -454,8 +480,9 @@ func TestBlackholedShardDegradesGracefully(t *testing.T) {
 	hosts, endpoints := shardHosts(shards)
 	cluster := newStubCluster(t, idx, hosts...)
 	fault := NewFaultTransport(&HandlerTransport{Handler: cluster}, 1)
-	res := fastResilience()
-	s := mountRemoteShards(t, fault, endpoints, res)
+	hang := &blackholeCap{next: fault, d: 200 * time.Millisecond}
+	res := fastResilience(t)
+	s := mountRemoteShards(t, hang, endpoints, res)
 
 	sources := spreadSources(s, 2)
 	const k = 8
@@ -466,6 +493,7 @@ func TestBlackholedShardDegradesGracefully(t *testing.T) {
 
 	const deadShard = 1
 	fault.Blackhole(hosts[deadShard])
+	hang.host.Store(&hosts[deadShard])
 
 	// Default: fail fast with the unreachable shard named.
 	_, err = s.DoBatch(ctx, Request{K: k}, sources)
@@ -524,6 +552,7 @@ func TestBlackholedShardDegradesGracefully(t *testing.T) {
 	// The fault clears: the breaker cooldown expires, a half-open probe
 	// succeeds, and the full batch is bit-identical to the local reference.
 	fault.Clear()
+	hang.host.Store(nil)
 	time.Sleep(res.BreakerCooldown + 20*time.Millisecond)
 	batch, err = s.DoBatch(ctx, Request{K: k}, sources)
 	if err != nil {
@@ -548,7 +577,7 @@ func TestAllowPartialKeepsAppErrorsFatal(t *testing.T) {
 	idx := testIndex(t, 200)
 	cluster := newStubCluster(t, idx, "s0", "s1")
 	s := mountRemoteShards(t, &HandlerTransport{Handler: cluster},
-		[][]string{{"http://s0"}, {"http://s1"}}, fastResilience())
+		[][]string{{"http://s0"}, {"http://s1"}}, fastResilience(t))
 
 	sources := append(spreadSources(s, 1), 1_000_000) // far past NumNodes
 	_, err := s.DoBatch(context.Background(), Request{AllowPartial: true}, sources)
@@ -570,7 +599,7 @@ func TestRemoteAppErrorsNotRetried(t *testing.T) {
 	idx := testIndex(t, 200)
 	cluster := newStubCluster(t, idx, "s0")
 	s := mountRemoteShards(t, &HandlerTransport{Handler: cluster},
-		[][]string{{"http://s0"}}, fastResilience())
+		[][]string{{"http://s0"}}, fastResilience(t))
 
 	_, err := s.Do(context.Background(), Request{Source: 1_000_000})
 	if !errors.Is(err, graph.ErrInvalidNode) {
@@ -592,7 +621,7 @@ func TestRemoteOverloadMapsToTypedError(t *testing.T) {
 	rs, err := NewRemoteShard(0, "default", []string{"http://s0"},
 		roundTripBody(http.StatusTooManyRequests,
 			`{"error":{"code":"overloaded","message":"shed","retry_after_ms":40}}`),
-		fastResilience())
+		fastResilience(t))
 	if err != nil {
 		t.Fatalf("NewRemoteShard: %v", err)
 	}
@@ -693,7 +722,7 @@ func TestHealthProbeTracksGeneration(t *testing.T) {
 	cluster := newStubCluster(t, idx, "s0")
 	cluster.hosts["s0"].gen.Store(7)
 	fault := NewFaultTransport(&HandlerTransport{Handler: cluster}, 1)
-	res := fastResilience()
+	res := fastResilience(t)
 	res.HealthInterval = 5 * time.Millisecond
 	res.BreakerCooldown = 30 * time.Millisecond
 	s := mountRemoteShards(t, fault, [][]string{{"http://s0"}}, res)
@@ -751,7 +780,7 @@ func TestRemoteConfigValidation(t *testing.T) {
 		t.Fatal("mount with both Open and Remote succeeded")
 	}
 
-	s := mountRemoteShards(t, tr, [][]string{{"http://s0"}}, fastResilience())
+	s := mountRemoteShards(t, tr, [][]string{{"http://s0"}}, fastResilience(t))
 	if s.Engine(0) != nil {
 		t.Fatal("remote shard exposes a local engine")
 	}
@@ -811,8 +840,13 @@ func BenchmarkRemoteShardOverhead(b *testing.B) {
 		b.Fatalf("engine.New: %v", err)
 	}
 	cluster := newStubCluster(b, idx, "s0")
-	res := fastResilience()
-	res.AttemptTimeout = 0
+	res := ResilienceOptions{
+		MaxAttempts:      2,
+		RetryBackoff:     time.Millisecond,
+		DisableHedge:     true,
+		BreakerThreshold: 2,
+		BreakerCooldown:  100 * time.Millisecond,
+	}
 	rs, err := NewRemoteShard(0, "default", []string{"http://s0"},
 		&HandlerTransport{Handler: cluster}, res)
 	if err != nil {

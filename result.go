@@ -90,10 +90,14 @@ type QueryStats struct {
 	// Epsilon is the effective additive error bound the query ran at: the
 	// build epsilon unless a larger per-request epsilon was supplied.
 	Epsilon float64
-	// Walks is the number of √c-walks sampled.
+	// Walks is the number of √c-walks sampled: the n_r walks from the source
+	// plus two for each η pair, which is sampled only for a walk end that can
+	// change the answer (a hub end, or a non-hub end whose backward walk
+	// returned estimates).
 	Walks int
 	// BackwardWalkCost counts estimator increments performed by Variance
-	// Bounded Backward Walks.
+	// Bounded Backward Walks, one walk per non-hub end at level ≥ 1, whether
+	// or not its η pair then met.
 	BackwardWalkCost int
 	// IndexEntriesRead counts (node, reserve) pairs read from the hub index.
 	IndexEntriesRead int
