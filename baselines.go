@@ -1,6 +1,7 @@
 package prsim
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -102,11 +103,11 @@ type prsimAlgorithm struct {
 func (a *prsimAlgorithm) Name() string { return "PRSim" }
 
 func (a *prsimAlgorithm) SingleSource(u int) (map[int]float64, error) {
-	res, err := a.idx.Query(u)
+	resp, err := a.idx.Do(context.Background(), Request{Source: u})
 	if err != nil {
 		return nil, err
 	}
-	return res.Scores(), nil
+	return resp.Result.Scores(), nil
 }
 
 // Index returns the underlying PRSim index.

@@ -227,7 +227,7 @@ func BenchmarkSingleSourceQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := idx.Query(i % g.NumNodes()); err != nil {
+		if _, err := query(idx, i%g.NumNodes()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,16 +245,17 @@ func BenchmarkQueryInto(b *testing.B) {
 	var res core.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := idx.QueryInto(i%g.NumNodes(), &res); err != nil {
+		if err := idx.QueryIntoOpts(context.Background(), i%g.NumNodes(), &res, core.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkQueryThroughput measures end-to-end queries/sec on the LJ dataset
-// stand-in: sequential Index.Query against Engine.QueryBatch with 1, 4 and
-// GOMAXPROCS workers. PRSim queries are independent, so batch throughput
-// should scale near-linearly with workers (each ns/op is one query).
+// stand-in: sequential Index.Do against Served.DoBatch on a one-shard
+// Registry mount with 1, 4 and GOMAXPROCS workers. PRSim queries are
+// independent, so batch throughput should scale near-linearly with workers
+// (each ns/op is one query).
 func BenchmarkQueryThroughput(b *testing.B) {
 	g, err := LoadDataset("LJ")
 	if err != nil {
@@ -271,7 +272,7 @@ func BenchmarkQueryThroughput(b *testing.B) {
 
 	b.Run("Sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := idx.Query(sources[i%len(sources)]); err != nil {
+			if _, err := query(idx, sources[i%len(sources)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -282,10 +283,7 @@ func BenchmarkQueryThroughput(b *testing.B) {
 	}
 	for _, workers := range workerCounts {
 		b.Run(fmt.Sprintf("Batch%dWorkers", workers), func(b *testing.B) {
-			eng, err := NewEngine(idx, EngineOptions{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
+			served := mountIndex(b, idx, EngineOptions{Workers: workers})
 			ctx := context.Background()
 			b.ResetTimer()
 			for done := 0; done < b.N; {
@@ -293,7 +291,7 @@ func BenchmarkQueryThroughput(b *testing.B) {
 				if rem := b.N - done; rem < m {
 					m = rem
 				}
-				if _, err := eng.QueryBatch(ctx, sources[:m]); err != nil {
+				if _, err := served.DoBatch(ctx, Request{}, sources[:m]); err != nil {
 					b.Fatal(err)
 				}
 				done += m
@@ -321,10 +319,7 @@ func BenchmarkCoalescedThroughput(b *testing.B) {
 	}
 	// Cache off: dedupe comes from coalescing alone. Unbounded queue so the
 	// benchmark measures throughput, not shed rate.
-	eng, err := NewEngine(idx, EngineOptions{Workers: runtime.GOMAXPROCS(0), MaxQueue: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	served := mountIndex(b, idx, EngineOptions{Workers: runtime.GOMAXPROCS(0), MaxQueue: -1})
 	hot := []int{1, 7, 42, 99} // 4 hot sources: ~16x duplication at 64 callers
 	ctx := context.Background()
 	var n atomic.Int64
@@ -333,7 +328,7 @@ func BenchmarkCoalescedThroughput(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			u := hot[int(n.Add(1))%len(hot)]
-			if _, err := eng.Do(ctx, Request{Source: u, K: 10}); err != nil {
+			if _, err := served.Do(ctx, Request{Source: u, K: 10}); err != nil {
 				// Fatal would Goexit a RunParallel worker; record and bail.
 				b.Error(err)
 				return
@@ -341,14 +336,14 @@ func BenchmarkCoalescedThroughput(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	st := eng.Stats()
+	st := served.StatsAggregate()
 	if st.Queries > 0 {
 		b.ReportMetric(float64(st.Coalesced)/float64(st.Queries), "coalesced/op")
 	}
 }
 
 // BenchmarkQueryKernel150k measures raw single-threaded query latency on the
-// 150k-node power-law benchmark graph through the pooled QueryInto path — the
+// 150k-node power-law benchmark graph through the pooled QueryIntoOpts path — the
 // headline number the query-kernel work is judged by (see README
 // "Performance" and prsimbench -experiment querypath).
 func BenchmarkQueryKernel150k(b *testing.B) {
@@ -360,7 +355,7 @@ func BenchmarkQueryKernel150k(b *testing.B) {
 	var res core.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := idx.QueryInto(i%g.NumNodes(), &res); err != nil {
+		if err := idx.QueryIntoOpts(context.Background(), i%g.NumNodes(), &res, core.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -401,7 +396,7 @@ func BenchmarkParallelQuery(b *testing.B) {
 // distinct sources per DoBatch, cache disabled so every batch computes. The
 // fusion streams each eligible reserve list once per batch instead of once
 // per source, and the per-source walk phases fan out over the engine's
-// workers; ns/op is one full batch. Runs under the bench-trend gate via
+// workers (a one-shard Registry mount); ns/op is one full batch. Runs under the bench-trend gate via
 // BENCH_ci.json.
 func BenchmarkDoBatchFused(b *testing.B) {
 	g := benchmarkGraph(b, 20000, 2.5)
@@ -409,10 +404,7 @@ func BenchmarkDoBatchFused(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := NewEngine(idx, EngineOptions{Workers: runtime.GOMAXPROCS(0), MaxQueue: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	served := mountIndex(b, idx, EngineOptions{Workers: runtime.GOMAXPROCS(0), MaxQueue: -1})
 	sources := make([]int, 16)
 	for i := range sources {
 		sources[i] = (i * 977) % g.NumNodes()
@@ -420,7 +412,7 @@ func BenchmarkDoBatchFused(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.DoBatch(ctx, Request{NoCache: true}, sources); err != nil {
+		if _, err := served.DoBatch(ctx, Request{NoCache: true}, sources); err != nil {
 			b.Fatal(err)
 		}
 	}

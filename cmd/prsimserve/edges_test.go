@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -112,12 +113,12 @@ func TestV1EdgesApplyPublishReload(t *testing.T) {
 		if r := getJSON(t, fmt.Sprintf("%s/v1/graphs/default/query?u=%d&nocache=1", ts.URL, u), &served); r.StatusCode != http.StatusOK {
 			t.Fatalf("query u=%d: %d", u, r.StatusCode)
 		}
-		want, err := pub.Query(u)
+		want, err := pub.Do(context.Background(), prsim.Request{Source: u})
 		if err != nil {
-			t.Fatalf("Query(%d): %v", u, err)
+			t.Fatalf("Do(%d): %v", u, err)
 		}
-		if served.Support != len(want.Scores()) {
-			t.Errorf("u=%d: served support %d, published snapshot has %d", u, served.Support, len(want.Scores()))
+		if served.Support != len(want.Result.Scores()) {
+			t.Errorf("u=%d: served support %d, published snapshot has %d", u, served.Support, len(want.Result.Scores()))
 		}
 	}
 

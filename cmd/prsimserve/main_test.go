@@ -325,7 +325,7 @@ func TestBuildServerNoGraph(t *testing.T) {
 // writeSnapshot builds an index over g and atomically publishes it at path
 // (write to temp + rename, the pattern the hot-reload runbook prescribes:
 // truncating a file that is currently mapped would fault the readers).
-func writeSnapshot(t *testing.T, g *prsim.Graph, path string, seed uint64) {
+func writeSnapshot(t testing.TB, g *prsim.Graph, path string, seed uint64) {
 	t.Helper()
 	idx, err := prsim.BuildIndex(g, prsim.Options{Epsilon: 0.3, Seed: seed, SampleScale: 0.05})
 	if err != nil {
@@ -555,7 +555,7 @@ func TestServeWatchReload(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	idx := srv.def.Current()
-	if _, err := idx.Query(1); err != nil {
+	if _, err := idx.Do(context.Background(), prsim.Request{Source: 1}); err != nil {
 		t.Fatalf("query after watched reload: %v", err)
 	}
 }
@@ -580,20 +580,23 @@ func TestRenderResultSharedCacheConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	eng, err := prsim.NewEngine(idx, prsim.EngineOptions{Workers: 4, CacheSize: 8})
+	reg := prsim.NewRegistry()
+	defer reg.Close()
+	eng, err := reg.MountIndex(prsim.DefaultGraph, idx, prsim.GraphConfig{Engine: prsim.EngineOptions{Workers: 4, CacheSize: 8}})
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("MountIndex: %v", err)
 	}
 	ctx := context.Background()
-	shared, err := eng.Query(ctx, 7)
+	resp, err := eng.Do(ctx, prsim.Request{Source: 7})
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
-	again, err := eng.Query(ctx, 7)
+	shared := resp.Result
+	again, err := eng.Do(ctx, prsim.Request{Source: 7})
 	if err != nil {
-		t.Fatalf("Query (cached): %v", err)
+		t.Fatalf("Do (cached): %v", err)
 	}
-	if shared.Scores() == nil || again.Scores() == nil {
+	if shared.Scores() == nil || again.Result.Scores() == nil {
 		t.Fatal("results missing scores")
 	}
 
@@ -618,7 +621,7 @@ func TestRenderResultSharedCacheConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 10; r++ {
-				if _, err := eng.Query(ctx, 7); err != nil {
+				if _, err := eng.Do(ctx, prsim.Request{Source: 7}); err != nil {
 					t.Errorf("cached query: %v", err)
 				}
 			}

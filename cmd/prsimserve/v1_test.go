@@ -19,7 +19,7 @@ import (
 
 // newV1Server boots a self-contained server with the given shard count and
 // returns it with its snapshot path (for mounting more graphs and reloading).
-func newV1Server(t *testing.T, shards int) (*server, *httptest.Server, *prsim.Graph, string) {
+func newV1Server(t testing.TB, shards int) (*server, *httptest.Server, *prsim.Graph, string) {
 	t.Helper()
 	g, err := prsim.GeneratePowerLawGraph(150, 6, 2.5, true, 5)
 	if err != nil {

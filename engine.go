@@ -1,14 +1,9 @@
 package prsim
 
-import (
-	"context"
-	"fmt"
-	"sync/atomic"
+import "prsim/internal/engine"
 
-	"prsim/internal/engine"
-)
-
-// EngineOptions configures a concurrent query engine.
+// EngineOptions configures the concurrent query engine behind each shard of
+// a graph mounted in a Registry (GraphConfig.Engine).
 type EngineOptions struct {
 	// Workers is the size of the worker pool: it bounds the computations
 	// executing concurrently, counting the idle slots a computation borrows
@@ -30,126 +25,8 @@ type EngineOptions struct {
 	AdaptiveDefault bool
 }
 
-// Engine is a throughput-oriented concurrent front-end over one index: a
-// bounded worker pool, batched multi-source queries, an optional result
-// cache, and request statistics. PRSim single-source queries are sublinear
-// and independent (the point of the paper), so they scale near-linearly with
-// workers; results are bit-identical to sequential Index.Query calls
-// regardless of worker count or scheduling.
-//
-// An Engine is safe for concurrent use and needs no shutdown. The index it
-// serves can be hot-swapped with Swap — typically for a freshly re-opened
-// snapshot — without dropping in-flight requests.
-type Engine struct {
-	cur atomic.Pointer[Index]
-	eng *engine.Engine
-}
-
-// NewEngine builds an engine over an index. When the index is backed by a
-// snapshot, every query retains the snapshot for its duration, so a
-// swapped-out snapshot can be Closed while traffic drains.
-func NewEngine(idx *Index, opts EngineOptions) (*Engine, error) {
-	if idx == nil {
-		return nil, fmt.Errorf("prsim: nil index")
-	}
-	eng, err := engine.New(idx.idx, engine.Options{
-		Workers:         opts.Workers,
-		CacheSize:       opts.CacheSize,
-		MaxQueue:        opts.MaxQueue,
-		AdaptiveDefault: opts.AdaptiveDefault,
-		Resource:        idx.engineResource(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{eng: eng}
-	e.cur.Store(idx)
-	return e, nil
-}
-
-// Workers returns the engine's concurrency bound.
-func (e *Engine) Workers() int { return e.eng.Workers() }
-
-// Current returns the index the engine is serving right now.
-func (e *Engine) Current() *Index { return e.cur.Load() }
-
-// Generation returns the swap generation of the served index: 0 at creation,
-// incremented by every Swap.
-func (e *Engine) Generation() uint64 { return e.eng.Generation() }
-
-// Swap atomically replaces the served index and returns the previous one.
-// In-flight queries finish against the old index; new queries (and cache
-// lookups, which are keyed by generation) see the new one immediately, and
-// the result cache is invalidated. The caller should Close the returned
-// index once it is done with it — for snapshot-backed indexes the unmap is
-// deferred until drained queries release it.
-func (e *Engine) Swap(idx *Index) (*Index, error) {
-	if idx == nil {
-		return nil, fmt.Errorf("prsim: nil index")
-	}
-	// Start readahead of the new snapshot's hot sections before publishing
-	// it, so the kernel pre-faults pages while the old index still serves
-	// and the first post-swap queries don't hit the page-fault cliff
-	// (no-op for heap-backed indexes; harmless if the swap then fails).
-	idx.WarmUp()
-	if err := e.eng.Swap(idx.idx, idx.engineResource()); err != nil {
-		return nil, err
-	}
-	return e.cur.Swap(idx), nil
-}
-
-// Query answers one single-source query through the worker pool and cache —
-// a shim over Do with a zero Request. The result carries the graph it was
-// computed on, so labels stay correct even when a Swap lands mid-flight or
-// the result came from the cache.
-func (e *Engine) Query(ctx context.Context, u int) (*Result, error) {
-	resp, err := e.Do(ctx, Request{Source: u})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Result, nil
-}
-
-// QueryBatch answers one query per source, in order — a shim over DoBatch
-// with a zero Request, so the cache-missing sources run as one fused
-// computation. The batch fails on its first error.
-func (e *Engine) QueryBatch(ctx context.Context, sources []int) ([]*Result, error) {
-	inner, err := e.eng.QueryBatch(ctx, sources)
-	if err != nil {
-		return nil, err
-	}
-	return wrapResults(e.cur.Load().g, inner), nil
-}
-
-// TopK answers a single-source query from u and returns its k most similar
-// nodes (excluding u itself) in descending score order — a shim over Do with
-// Request.K set. Negative k is treated as zero.
-//
-// Selection uses a bounded heap (O(support·log k), not a full sort), and
-// when the engine runs without a result cache the query executes into a
-// pooled result that never escapes the engine — a steady /topk workload
-// allocates only the returned slice. Labels resolve against the graph that
-// actually answered, even when a hot Swap lands mid-flight.
-func (e *Engine) TopK(ctx context.Context, u, k int) ([]ScoredNode, error) {
-	if k < 0 {
-		k = 0
-	}
-	resp, err := e.Do(ctx, Request{Source: u, K: k})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Top == nil {
-		return []ScoredNode{}, nil
-	}
-	return resp.Top, nil
-}
-
-// Pair estimates the single-pair SimRank s(u, v).
-func (e *Engine) Pair(ctx context.Context, u, v int) (float64, error) {
-	return e.eng.Pair(ctx, u, v)
-}
-
-// EngineStats is a snapshot of an engine's request counters.
+// EngineStats is a snapshot of one shard engine's request counters, or of a
+// whole graph's (Served.Stats, Served.StatsAggregate).
 type EngineStats struct {
 	// Workers is the concurrency bound.
 	Workers int
@@ -204,22 +81,19 @@ type EngineStats struct {
 	// whose walk phase ran on more than one worker (intra-query parallelism
 	// engaged); a fused batch counts once regardless of its source count.
 	ParallelQueries int64
-	// ChunksExecuted counts walk-phase work chunks actually run, including
-	// chunks a cancelled query discarded before the merge; ChunksMerged
-	// counts chunks folded into query results. Executed−merged is the work
-	// thrown away by cancellation (plus phases in flight at the snapshot
-	// instant) — zero under healthy steady load.
+	// ChunksExecuted counts walk-phase work chunks the engine's computations
+	// ran, including chunks a cancelled computation discarded before the
+	// merge; ChunksMerged counts chunks folded into the results they
+	// returned. Both count when a computation returns, on the engine that ran
+	// it, so executed−merged is the work thrown away by cancellation (plus
+	// computations returning at the snapshot instant) — zero under healthy
+	// steady load, across hot swaps and at any shard count.
 	ChunksExecuted int64
 	ChunksMerged   int64
 }
 
-// Stats returns a snapshot of the engine's counters.
-func (e *Engine) Stats() EngineStats {
-	return wrapEngineStats(e.eng.Stats())
-}
-
-// wrapEngineStats lifts internal engine stats into the public type; shared
-// by Engine.Stats and the Registry's per-graph stats.
+// wrapEngineStats lifts internal engine stats into the public type for the
+// Registry's per-shard and per-graph stats.
 func wrapEngineStats(s engine.Stats) EngineStats {
 	return EngineStats{
 		Workers:        s.Workers,

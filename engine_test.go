@@ -19,19 +19,22 @@ func testEngineIndex(t *testing.T) *Index {
 	return idx
 }
 
-func TestIndexQueryBatchMatchesQuery(t *testing.T) {
+// TestServedDoBatchMatchesIndexDo pins the fused batch behind a Registry
+// mount to single requests answered straight off the index, bit for bit,
+// duplicates included.
+func TestServedDoBatchMatchesIndexDo(t *testing.T) {
 	idx := testEngineIndex(t)
 	sources := []int{0, 9, 42, 9, 199}
-	batch, err := idx.QueryBatch(context.Background(), sources)
+	batch, err := mountIndex(t, idx, EngineOptions{}).DoBatch(context.Background(), Request{}, sources)
 	if err != nil {
-		t.Fatalf("QueryBatch: %v", err)
+		t.Fatalf("DoBatch: %v", err)
 	}
 	for i, u := range sources {
-		want, err := idx.Query(u)
+		want, err := query(idx, u)
 		if err != nil {
-			t.Fatalf("Query(%d): %v", u, err)
+			t.Fatalf("Do(%d): %v", u, err)
 		}
-		got := batch[i]
+		got := batch.Responses[i].Result
 		if got.Source() != u {
 			t.Fatalf("batch[%d].Source = %d, want %d", i, got.Source(), u)
 		}
@@ -49,26 +52,24 @@ func TestIndexQueryBatchMatchesQuery(t *testing.T) {
 
 func TestEngineEndToEnd(t *testing.T) {
 	idx := testEngineIndex(t)
-	eng, err := NewEngine(idx, EngineOptions{Workers: 4, CacheSize: 8})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
+	eng := mountIndex(t, idx, EngineOptions{Workers: 4, CacheSize: 8})
 	ctx := context.Background()
 
-	res, err := eng.Query(ctx, 3)
+	resp, err := eng.Do(ctx, Request{Source: 3})
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
-	if res.Score(3) != 1 {
-		t.Errorf("self-similarity = %v, want 1", res.Score(3))
+	if resp.Result.Score(3) != 1 {
+		t.Errorf("self-similarity = %v, want 1", resp.Result.Score(3))
 	}
-	top, err := eng.TopK(ctx, 3, 10)
+	resp, err = eng.Do(ctx, Request{Source: 3, K: 10})
 	if err != nil {
-		t.Fatalf("TopK: %v", err)
+		t.Fatalf("Do top-k: %v", err)
 	}
+	top := resp.Top
 	for i := 1; i < len(top); i++ {
 		if top[i].Score > top[i-1].Score {
-			t.Errorf("TopK not sorted: %+v", top)
+			t.Errorf("Top not sorted: %+v", top)
 		}
 	}
 	if s, err := eng.Pair(ctx, 5, 5); err != nil || s != 1 {
@@ -82,19 +83,19 @@ func TestEngineEndToEnd(t *testing.T) {
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
-			if _, err := eng.QueryBatch(ctx, []int{1, 2, 3, 4, 5}); err != nil {
+			if _, err := eng.DoBatch(ctx, Request{}, []int{1, 2, 3, 4, 5}); err != nil {
 				errs <- err
 			}
 		}()
 		go func(u int) {
 			defer wg.Done()
-			if _, err := eng.Query(ctx, u); err != nil {
+			if _, err := eng.Do(ctx, Request{Source: u}); err != nil {
 				errs <- err
 			}
 		}(i)
 		go func(u int) {
 			defer wg.Done()
-			if _, err := eng.TopK(ctx, u, 5); err != nil {
+			if _, err := eng.Do(ctx, Request{Source: u, K: 5}); err != nil {
 				errs <- err
 			}
 		}(i + 10)
@@ -105,7 +106,7 @@ func TestEngineEndToEnd(t *testing.T) {
 		t.Fatalf("concurrent engine call failed: %v", err)
 	}
 
-	st := eng.Stats()
+	st := eng.StatsAggregate()
 	if st.Workers != 4 {
 		t.Errorf("Workers = %d, want 4", st.Workers)
 	}
@@ -133,11 +134,11 @@ func TestMaxLevelsOption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	rs, err := shallow.Query(0)
+	rs, err := query(shallow, 0)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	rd, err := deep.Query(0)
+	rd, err := query(deep, 0)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -154,14 +155,14 @@ func TestMaxLevelsOption(t *testing.T) {
 	}
 }
 
-func TestNewEngineNilIndex(t *testing.T) {
-	if _, err := NewEngine(nil, EngineOptions{}); err == nil {
-		t.Fatal("NewEngine(nil) should fail")
+func TestMountIndexNilIndex(t *testing.T) {
+	if _, err := NewRegistry().MountIndex(DefaultGraph, nil, GraphConfig{}); err == nil {
+		t.Fatal("MountIndex(nil) should fail")
 	}
 }
 
 // TestTopKNegativeKPublicAPI exercises negative k through the public surface
-// directly — Result.TopK and Engine.TopK — rather than through the HTTP
+// directly — Result.TopK and a Request's K — rather than through the HTTP
 // handlers that happen to pre-validate k. Before the clamp this panicked in
 // core's nodes[:k] slice.
 func TestTopKNegativeKPublicAPI(t *testing.T) {
@@ -170,33 +171,34 @@ func TestTopKNegativeKPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	res, err := idx.Query(0)
+	res, err := query(idx, 0)
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
 	for _, k := range []int{-1, -99, 0} {
 		if got := res.TopK(k); len(got) != 0 {
 			t.Errorf("Result.TopK(%d) returned %d nodes, want 0", k, len(got))
 		}
 	}
-	eng, err := NewEngine(idx, EngineOptions{Workers: 2})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
+	eng := mountIndex(t, idx, EngineOptions{Workers: 2})
 	for _, k := range []int{-1, -99, 0} {
-		got, err := eng.TopK(context.Background(), 0, k)
-		if err != nil {
-			t.Fatalf("Engine.TopK(%d): %v", k, err)
-		}
-		if len(got) != 0 {
-			t.Errorf("Engine.TopK(%d) returned %d nodes, want 0", k, len(got))
+		for name, do := range map[string]func(context.Context, Request) (*Response, error){
+			"Index.Do": idx.Do, "Served.Do": eng.Do,
+		} {
+			resp, err := do(context.Background(), Request{Source: 0, K: k})
+			if err != nil {
+				t.Fatalf("%s(K=%d): %v", name, k, err)
+			}
+			if len(resp.Top) != 0 {
+				t.Errorf("%s(K=%d) returned %d nodes, want 0", name, k, len(resp.Top))
+			}
 		}
 	}
 }
 
-// TestEngineSwapPublicAPI drives the public hot-swap surface: Swap returns
-// the previous index, Current/Generation track the change, and queries keep
-// answering.
+// TestEngineSwapPublicAPI drives the public hot-swap surface: Served.Update
+// moves every shard engine onto a new index, Current and the engines' swap
+// generation track the change, and queries keep answering.
 func TestEngineSwapPublicAPI(t *testing.T) {
 	g := paperGraph(t)
 	idxA, err := BuildIndex(g, Options{Epsilon: 0.3, Seed: 2})
@@ -207,41 +209,34 @@ func TestEngineSwapPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	eng, err := NewEngine(idxA, EngineOptions{Workers: 2, CacheSize: 4})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+	eng := mountIndex(t, idxA, EngineOptions{Workers: 2, CacheSize: 4})
+	if eng.Current() != idxA || eng.StatsAggregate().Generation != 0 {
+		t.Fatalf("fresh mount current/gen = %p/%d, want idxA/0", eng.Current(), eng.StatsAggregate().Generation)
 	}
-	if eng.Current() != idxA || eng.Generation() != 0 {
-		t.Fatalf("fresh engine current/gen = %p/%d, want idxA/0", eng.Current(), eng.Generation())
+	if _, err := eng.Do(context.Background(), Request{Source: 0}); err != nil {
+		t.Fatalf("Do: %v", err)
 	}
-	if _, err := eng.Query(context.Background(), 0); err != nil {
-		t.Fatalf("Query: %v", err)
+	if err := eng.Update(idxB, nil); err != nil {
+		t.Fatalf("Update: %v", err)
 	}
-	old, err := eng.Swap(idxB)
-	if err != nil {
-		t.Fatalf("Swap: %v", err)
+	if eng.Current() != idxB {
+		t.Errorf("post-swap current = %p, want idxB %p", eng.Current(), idxB)
 	}
-	if old != idxA {
-		t.Errorf("Swap returned %p, want the previous index %p", old, idxA)
+	if _, err := eng.Do(context.Background(), Request{Source: 0}); err != nil {
+		t.Fatalf("Do after swap: %v", err)
 	}
-	if eng.Current() != idxB || eng.Generation() != 1 {
-		t.Errorf("post-swap current/gen wrong")
-	}
-	if _, err := eng.Query(context.Background(), 0); err != nil {
-		t.Fatalf("Query after swap: %v", err)
-	}
-	st := eng.Stats()
+	st := eng.StatsAggregate()
 	if st.Generation != 1 || st.Swaps != 1 {
 		t.Errorf("Stats generation/swaps = %d/%d, want 1/1", st.Generation, st.Swaps)
 	}
-	if _, err := eng.Swap(nil); err == nil {
-		t.Error("Swap(nil) should fail")
+	if err := eng.Update(nil, nil); err == nil {
+		t.Error("Update(nil) should fail")
 	}
 }
 
 // TestResultLabelsSurviveSwap pins the generation binding of results: a
-// result produced before (or during) a Swap must label its nodes from the
-// graph that computed it, not from whichever graph is current at render
+// result produced before (or during) a hot swap must label its nodes from
+// the graph that computed it, not from whichever graph is current at render
 // time.
 func TestResultLabelsSurviveSwap(t *testing.T) {
 	gOld, err := NewGraphFromLabelledEdges([][2]string{
@@ -264,29 +259,26 @@ func TestResultLabelsSurviveSwap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	eng, err := NewEngine(idxOld, EngineOptions{Workers: 2, CacheSize: 4})
+	eng := mountIndex(t, idxOld, EngineOptions{Workers: 2, CacheSize: 4})
+	resp, err := eng.Do(context.Background(), Request{Source: 0})
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
-	res, err := eng.Query(context.Background(), 0)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
+	if err := eng.Update(idxNew, nil); err != nil {
+		t.Fatalf("Update: %v", err)
 	}
-	if _, err := eng.Swap(idxNew); err != nil {
-		t.Fatalf("Swap: %v", err)
-	}
-	for _, s := range res.TopK(3) {
+	for _, s := range resp.Result.TopK(3) {
 		if len(s.Label) < 4 || s.Label[:4] != "old-" {
 			t.Errorf("pre-swap result labeled %q from the new graph", s.Label)
 		}
 	}
-	after, err := eng.TopK(context.Background(), 0, 3)
+	after, err := eng.Do(context.Background(), Request{Source: 0, K: 3})
 	if err != nil {
-		t.Fatalf("TopK after swap: %v", err)
+		t.Fatalf("Do top-k after swap: %v", err)
 	}
-	for _, s := range after {
+	for _, s := range after.Top {
 		if len(s.Label) < 4 || s.Label[:4] != "new-" {
-			t.Errorf("post-swap TopK labeled %q from the old graph", s.Label)
+			t.Errorf("post-swap top-k labeled %q from the old graph", s.Label)
 		}
 	}
 }

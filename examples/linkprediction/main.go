@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,11 +48,11 @@ func main() {
 	// friend shows up among the SimRank top-k suggestions.
 	hits := 0
 	for _, e := range hidden {
-		res, err := idx.Query(e[0])
+		resp, err := idx.Do(context.Background(), prsim.Request{Source: e[0], K: topK})
 		if err != nil {
 			log.Fatalf("query: %v", err)
 		}
-		for _, cand := range res.TopK(topK) {
+		for _, cand := range resp.Top {
 			if cand.Node == e[1] {
 				hits++
 				break

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,15 +55,15 @@ func main() {
 			source = v
 		}
 	}
-	res, err := idx.Query(source)
+	resp, err := idx.Do(context.Background(), prsim.Request{Source: source, K: 5})
 	if err != nil {
 		log.Fatalf("query: %v", err)
 	}
 	fmt.Printf("\npapers most similar to %q:\n", g.Label(source))
-	for rank, s := range res.TopK(5) {
+	for rank, s := range resp.Top {
 		fmt.Printf("%d. %-16s s = %.4f\n", rank+1, s.Label, s.Score)
 	}
-	q := res.Stats()
+	q := resp.Result.Stats()
 	fmt.Printf("\nquery cost: %d walks, %d backward-walk increments, %d index reads, %.4fs\n",
 		q.Walks, q.BackwardWalkCost, q.IndexEntriesRead, q.Seconds)
 }

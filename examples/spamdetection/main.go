@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -63,10 +64,11 @@ func main() {
 
 	// One farm page is known to be spam; rank all pages by similarity to it.
 	seed := farmStart
-	res, err := idx.Query(seed)
+	resp, err := idx.Do(context.Background(), prsim.Request{Source: seed})
 	if err != nil {
 		log.Fatalf("query: %v", err)
 	}
+	res := resp.Result
 	type scored struct {
 		node  int
 		score float64

@@ -28,7 +28,7 @@ func TestIntegrationAlgorithmsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	res, err := prsimIdx.Query(source)
+	res, err := query(prsimIdx, source)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -79,11 +79,11 @@ func TestIntegrationSimRankSymmetry(t *testing.T) {
 	}
 	pairs := [][2]int{{3, 17}, {50, 120}, {200, 399}}
 	for _, p := range pairs {
-		a, err := idx.Query(p[0])
+		a, err := query(idx, p[0])
 		if err != nil {
 			t.Fatalf("Query(%d): %v", p[0], err)
 		}
-		b, err := idx.Query(p[1])
+		b, err := query(idx, p[1])
 		if err != nil {
 			t.Fatalf("Query(%d): %v", p[1], err)
 		}
@@ -116,11 +116,11 @@ func TestIntegrationIndexPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadIndexFile: %v", err)
 	}
-	orig, err := idx.Query(10)
+	orig, err := query(idx, 10)
 	if err != nil {
 		t.Fatalf("Query original: %v", err)
 	}
-	restored, err := loaded.Query(10)
+	restored, err := query(loaded, 10)
 	if err != nil {
 		t.Fatalf("Query loaded: %v", err)
 	}

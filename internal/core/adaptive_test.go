@@ -184,7 +184,7 @@ func TestQueryBatchEachHeterogeneous(t *testing.T) {
 	for i := range results {
 		results[i] = &Result{}
 	}
-	if err := idx.QueryBatchEachIntoOpts(ctx, sources, results, qs); err != nil {
+	if _, err := idx.QueryBatchEachIntoOpts(ctx, sources, results, qs); err != nil {
 		t.Fatalf("QueryBatchEachIntoOpts: %v", err)
 	}
 	for i, u := range sources {
@@ -201,7 +201,7 @@ func TestQueryBatchEachHeterogeneous(t *testing.T) {
 		}
 	}
 	// Length mismatch must fail fast.
-	if err := idx.QueryBatchEachIntoOpts(ctx, sources, results, qs[:2]); err == nil {
+	if _, err := idx.QueryBatchEachIntoOpts(ctx, sources, results, qs[:2]); err == nil {
 		t.Fatalf("mismatched option count accepted")
 	}
 }

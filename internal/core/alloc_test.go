@@ -13,9 +13,9 @@ import (
 
 // TestQueryIntoSteadyStateAllocs pins the recycled-scratch guarantee: once
 // the per-index free list and the caller's reused Result have warmed up, a
-// QueryInto performs (approximately) zero heap allocations — the walkers,
-// dense accumulators, median workspace, chunk results and batch buffers are
-// all recycled, and the score map is cleared in place rather than
+// QueryIntoOpts call performs (approximately) zero heap allocations — the
+// walkers, dense accumulators, median workspace, chunk results and batch
+// buffers are all recycled, and the score map is cleared in place rather than
 // reallocated. A couple of allocations of slack absorb runtime noise, but a
 // regression that reintroduces per-query maps, sorts with allocating
 // comparators, or fresh walk buffers shows up as dozens of allocations and
@@ -30,17 +30,17 @@ func TestQueryIntoSteadyStateAllocs(t *testing.T) {
 	// Warm-up queries populate the scratch pool, grow every lazily sized
 	// buffer to its high-water mark, and size the reused score map.
 	for i := 0; i < 3; i++ {
-		if err := idx.QueryInto(7, &res); err != nil {
-			t.Fatalf("warm-up QueryInto: %v", err)
+		if err := idx.QueryIntoOpts(context.Background(), 7, &res, QueryOptions{}); err != nil {
+			t.Fatalf("warm-up QueryIntoOpts: %v", err)
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := idx.QueryInto(7, &res); err != nil {
-			t.Fatalf("QueryInto: %v", err)
+		if err := idx.QueryIntoOpts(context.Background(), 7, &res, QueryOptions{}); err != nil {
+			t.Fatalf("QueryIntoOpts: %v", err)
 		}
 	})
 	if allocs > 2 {
-		t.Errorf("steady-state QueryInto performed %.1f allocs/query, want ~0 (pooled scratch has rotted)", allocs)
+		t.Errorf("steady-state QueryIntoOpts performed %.1f allocs/query, want ~0 (pooled scratch has rotted)", allocs)
 	}
 }
 

@@ -44,7 +44,8 @@ func (idx *Index) QueryBatchIntoOpts(ctx context.Context, sources []int, results
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	return idx.queryBatchImpl(ctx, sources, results, func(int) QueryOptions { return q }, q.Parallelism)
+	_, err := idx.queryBatchImpl(ctx, sources, results, func(int) QueryOptions { return q }, q.Parallelism)
+	return err
 }
 
 // QueryBatchEachIntoOpts is QueryBatchIntoOpts with heterogeneous per-entry
@@ -55,14 +56,20 @@ func (idx *Index) QueryBatchIntoOpts(ctx context.Context, sources []int, results
 // source's walk phase stops at its own converged round. The wave's worker
 // fan-out is the maximum Parallelism requested by any entry. Every result is
 // bit-identical to a solo QueryIntoOpts with the same entry's options.
-func (idx *Index) QueryBatchEachIntoOpts(ctx context.Context, sources []int, results []*Result, qs []QueryOptions) error {
+//
+// It also reports how many walk chunks the call ran, including chunks of
+// walk phases that a cancellation threw away before their merge: on success
+// that is the sum of the results' Stats.Chunks, and on failure the gap is
+// work lost. Counting per call lets a caller attribute the work to whoever
+// asked for it, whichever index served it.
+func (idx *Index) QueryBatchEachIntoOpts(ctx context.Context, sources []int, results []*Result, qs []QueryOptions) (int, error) {
 	if len(qs) != len(sources) {
-		return fmt.Errorf("core: QueryBatchEachIntoOpts with %d sources but %d option sets", len(sources), len(qs))
+		return 0, fmt.Errorf("core: QueryBatchEachIntoOpts with %d sources but %d option sets", len(sources), len(qs))
 	}
 	p := 0
 	for _, q := range qs {
 		if err := q.Validate(); err != nil {
-			return err
+			return 0, err
 		}
 		if q.Parallelism > p {
 			p = q.Parallelism
@@ -73,24 +80,25 @@ func (idx *Index) QueryBatchEachIntoOpts(ctx context.Context, sources []int, res
 
 // queryBatchImpl is the shared wave machinery behind QueryBatchIntoOpts
 // (one option set) and QueryBatchEachIntoOpts (per-entry option sets);
-// optFor(i) yields entry i's already-validated per-request options.
-func (idx *Index) queryBatchImpl(ctx context.Context, sources []int, results []*Result, optFor func(int) QueryOptions, p int) error {
+// optFor(i) yields entry i's already-validated per-request options. It
+// reports the walk chunks it ran, as QueryBatchEachIntoOpts does.
+func (idx *Index) queryBatchImpl(ctx context.Context, sources []int, results []*Result, optFor func(int) QueryOptions, p int) (int, error) {
 	if len(sources) != len(results) {
-		return fmt.Errorf("core: QueryBatchIntoOpts with %d sources but %d results", len(sources), len(results))
+		return 0, fmt.Errorf("core: QueryBatchIntoOpts with %d sources but %d results", len(sources), len(results))
 	}
 	for i, u := range sources {
 		if results[i] == nil {
-			return fmt.Errorf("core: QueryBatchIntoOpts with nil result %d", i)
+			return 0, fmt.Errorf("core: QueryBatchIntoOpts with nil result %d", i)
 		}
 		if err := idx.g.CheckNode(u); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	switch len(sources) {
 	case 0:
-		return nil
+		return 0, nil
 	case 1:
-		return idx.QueryIntoOpts(ctx, sources[0], results[0], optFor(0))
+		return idx.queryInto(ctx, sources[0], results[0], optFor(0))
 	}
 	start := time.Now()
 	// Per-entry effective options, resolved once; entries sharing one option
@@ -123,6 +131,7 @@ func (idx *Index) queryBatchImpl(ctx context.Context, sources []int, results []*
 		}
 	}()
 	stats := make([]QueryStats, len(sources))
+	var ran atomic.Int64
 
 	for base := 0; base < len(sources); base += wave {
 		end := base + wave
@@ -142,12 +151,14 @@ func (idx *Index) queryBatchImpl(ctx context.Context, sources []int, results []*
 		// state, private streams), so scheduling cannot affect bits.
 		walkOne := func(i int) error {
 			stats[i] = QueryStats{Epsilon: effOpts[i].Epsilon}
-			return idx.runWalkPhase(ctx, states[i-base], sources[i], effOpts[i], optFor(i), 1, &stats[i])
+			n, err := idx.runWalkPhase(ctx, states[i-base], sources[i], effOpts[i], optFor(i), 1, &stats[i])
+			ran.Add(int64(n))
+			return err
 		}
 		if pw <= 1 {
 			for i := base; i < end; i++ {
 				if err := walkOne(i); err != nil {
-					return err
+					return int(ran.Load()), err
 				}
 			}
 		} else {
@@ -180,7 +191,7 @@ func (idx *Index) queryBatchImpl(ctx context.Context, sources []int, results []*
 				// Cancelled phases left their states clean; completed ones
 				// hold accumulated scores that the next walk phase's
 				// resetScratch reclaims.
-				return err
+				return int(ran.Load()), err
 			}
 		}
 		for i := base; i < end; i++ {
@@ -193,7 +204,7 @@ func (idx *Index) queryBatchImpl(ctx context.Context, sources []int, results []*
 			states[i-base].finalize(sources[i], results[i], &stats[i], start)
 		}
 	}
-	return nil
+	return int(ran.Load()), nil
 }
 
 // readIndexFused runs sI(u, v), the index-read pass, for a wave of sources

@@ -153,11 +153,6 @@ func (idx *Index) WriteDeltaFile(path string, base SnapshotGens) error {
 	return f.Close()
 }
 
-// IsDelta reports whether data begins with the delta snapshot magic.
-func IsDelta(data []byte) bool {
-	return len(data) >= 8 && binary.LittleEndian.Uint64(data[:8]) == deltaMagic
-}
-
 // ParseDeltaLayout decodes and structurally validates a complete in-memory
 // (typically mmap'd) delta file: header, embedded successor prefix, and
 // shipped-section extents. Call VerifyChecksum to validate the payload and

@@ -31,11 +31,11 @@ func saveV4(t testing.TB) (*Index, []byte) {
 func requireSameScores(t *testing.T, want, got *Index) {
 	t.Helper()
 	for _, u := range []int{0, 3} {
-		a, err := want.Query(u)
+		a, err := query(want, u)
 		if err != nil {
 			t.Fatalf("Query(%d): %v", u, err)
 		}
-		b, err := got.Query(u)
+		b, err := query(got, u)
 		if err != nil {
 			t.Fatalf("Query(%d): %v", u, err)
 		}
@@ -324,7 +324,7 @@ func FuzzLoadIndex(f *testing.F) {
 		if idx.Options() != wantOpts {
 			return
 		}
-		if _, qerr := idx.Query(0); qerr != nil {
+		if _, qerr := query(idx, 0); qerr != nil {
 			t.Fatalf("loaded index cannot query: %v", qerr)
 		}
 	}

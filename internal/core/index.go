@@ -68,15 +68,6 @@ type Index struct {
 	degOnce sync.Once
 	tables  walkTables
 
-	// chunksExecuted counts walk-phase chunks actually run on this index —
-	// including chunks whose query was cancelled before the merge —
-	// chunksMerged counts chunks folded into a result by the canonical merge.
-	// Counted here, where the work happens, so the executed−merged gap is a
-	// real signal: it equals the chunks discarded by cancellation plus those
-	// of phases currently in flight.
-	chunksExecuted atomic.Int64
-	chunksMerged   atomic.Int64
-
 	// gens is the v4 snapshot generation block (see SnapshotGens): set to
 	// generation 1 by BuildIndex, advanced by ApplyUpdates, loaded verbatim
 	// from v4 snapshots, and synthesized deterministically for pre-v4 loads.
@@ -105,16 +96,6 @@ type Index struct {
 func (idx *Index) Gens() SnapshotGens {
 	idx.ensureGens()
 	return idx.gens
-}
-
-// WalkChunkCounters returns how many walk-phase work chunks this index has
-// executed and merged over its lifetime. Executed counts every chunk run,
-// including chunks a cancelled query discarded before the merge; merged
-// counts chunks folded into a query result. The difference is work thrown
-// away by cancellation (plus phases still in flight at the instant of the
-// snapshot); the serving layer surfaces both through /stats.
-func (idx *Index) WalkChunkCounters() (executed, merged int64) {
-	return idx.chunksExecuted.Load(), idx.chunksMerged.Load()
 }
 
 // walkTables returns the shared walk tables, building them on first use.
@@ -385,10 +366,6 @@ func (idx *Index) Stats() IndexStats { return idx.stats }
 
 // ReversePageRank returns the reverse PageRank of node w.
 func (idx *Index) ReversePageRank(w int) float64 { return idx.pi[w] }
-
-// ReversePageRankVector returns the full reverse PageRank vector (aliased; do
-// not modify).
-func (idx *Index) ReversePageRankVector() []float64 { return idx.pi }
 
 // SecondMoment returns Σ_w π(w)².
 func (idx *Index) SecondMoment() float64 { return idx.stats.SecondMoment }

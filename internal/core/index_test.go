@@ -119,7 +119,7 @@ func TestIndexFreeMode(t *testing.T) {
 		}
 	}
 	// Queries must still work.
-	res, err := idx.Query(0)
+	res, err := query(idx, 0)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}

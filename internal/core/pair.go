@@ -7,20 +7,15 @@ import (
 	"prsim/internal/walk"
 )
 
-// QueryPair estimates the single-pair SimRank s(u, v) with the index's
+// QueryPairCtx estimates the single-pair SimRank s(u, v) with the index's
 // additive error target ε and failure probability δ, using the √c-walk pair
 // interpretation of SimRank (Section 2 of the paper). Single-pair queries do
 // not need the hub index; they are provided for completeness because several
 // applications (link prediction between two given candidates, pair
-// verification in the pooling oracle) only need one value.
-func (idx *Index) QueryPair(u, v int) (float64, error) {
-	return idx.QueryPairCtx(context.Background(), u, v)
-}
-
-// QueryPairCtx is QueryPair with cancellation: the context is polled every
-// few hundred walk samples, so a cancelled or expired context aborts the
-// estimate promptly without consuming extra random values (a completed query
-// is bit-identical to QueryPair).
+// verification in the pooling oracle) only need one value. The context is
+// polled every few hundred walk samples, so a cancelled or expired context
+// aborts the estimate promptly without consuming extra random values (a
+// completed query is bit-identical whether or not a deadline was attached).
 func (idx *Index) QueryPairCtx(ctx context.Context, u, v int) (float64, error) {
 	if err := idx.g.CheckNode(u); err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,9 +20,9 @@ func TestQueryPairMatchesExact(t *testing.T) {
 	}
 	pairs := [][2]int{{0, 1}, {1, 4}, {2, 5}, {3, 0}}
 	for _, p := range pairs {
-		got, err := idx.QueryPair(p[0], p[1])
+		got, err := idx.QueryPairCtx(context.Background(), p[0], p[1])
 		if err != nil {
-			t.Fatalf("QueryPair(%d,%d): %v", p[0], p[1], err)
+			t.Fatalf("QueryPairCtx(%d,%d): %v", p[0], p[1], err)
 		}
 		want := exact.At(p[0], p[1])
 		if math.Abs(got-want) > 0.05 {
@@ -36,13 +37,13 @@ func TestQueryPairIdentityAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	if s, err := idx.QueryPair(2, 2); err != nil || s != 1 {
-		t.Errorf("QueryPair(v,v) = %v, %v; want 1, nil", s, err)
+	if s, err := idx.QueryPairCtx(context.Background(), 2, 2); err != nil || s != 1 {
+		t.Errorf("QueryPairCtx(v,v) = %v, %v; want 1, nil", s, err)
 	}
-	if _, err := idx.QueryPair(-1, 0); err == nil {
+	if _, err := idx.QueryPairCtx(context.Background(), -1, 0); err == nil {
 		t.Errorf("invalid u should be an error")
 	}
-	if _, err := idx.QueryPair(0, 99); err == nil {
+	if _, err := idx.QueryPairCtx(context.Background(), 0, 99); err == nil {
 		t.Errorf("invalid v should be an error")
 	}
 }

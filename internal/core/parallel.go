@@ -191,7 +191,6 @@ func (s *queryState) runChunk(ph *walkPhase, j int) {
 		}
 		s.etaTouched[l] = touched[:0]
 	}
-	s.idx.chunksExecuted.Add(1)
 }
 
 // runWalkPhase runs Algorithm 4's Monte Carlo phase from u: f_r rounds of d_r
@@ -205,7 +204,8 @@ func (s *queryState) runChunk(ph *walkPhase, j int) {
 // same order, so s's hub accumulators stay empty while chunks run and s
 // executes chunks itself. On success s holds the η·π accumulators and the
 // median-folded dense scores; on cancellation it returns the context's error
-// and s keeps its all-zero invariants.
+// and s keeps its all-zero invariants. It reports how many chunks it ran
+// either way, so callers can count the work a cancellation threw away.
 //
 // Determinism: chunk boundaries and seeds depend only on the effective
 // options, the source and the graph size; each chunk consumes an independent
@@ -214,7 +214,7 @@ func (s *queryState) runChunk(ph *walkPhase, j int) {
 // the round number and merged state alone. Results are therefore
 // bit-identical at every parallelism level, and an adaptive query that runs
 // its full budget reproduces the fixed query's bits.
-func (idx *Index) runWalkPhase(ctx context.Context, s *queryState, u int, opts Options, q QueryOptions, p int, stats *QueryStats) error {
+func (idx *Index) runWalkPhase(ctx context.Context, s *queryState, u int, opts Options, q QueryOptions, p int, stats *QueryStats) (int, error) {
 	dr := opts.samplesPerRound()
 	fr := opts.rounds(idx.g.N())
 	cpr := chunksPerRound(dr)
@@ -235,12 +235,13 @@ func (idx *Index) runWalkPhase(ctx context.Context, s *queryState, u int, opts O
 	s.resetScratch()
 	s.resetHubMass()
 
-	R, streak, workers := 0, 0, 1
+	R, streak, workers, ran := 0, 0, 1, 0
 	for R < fr {
 		end := windowEnd(R, minR, fr)
-		w, err := idx.runWindow(ctx, s, ph, R*cpr, end*cpr, p)
+		w, n, err := idx.runWindow(ctx, s, ph, R*cpr, end*cpr, p)
+		ran += n
 		if err != nil {
-			return err
+			return ran, err
 		}
 		workers = max(workers, w)
 		for i := R; i < end; i++ {
@@ -264,7 +265,6 @@ func (idx *Index) runWalkPhase(ctx context.Context, s *queryState, u int, opts O
 			s.addEtaPi(int(cr.etaLev[t]), int(cr.etaRank[t]), cr.etaVal[t])
 		}
 	}
-	idx.chunksMerged.Add(int64(R * cpr))
 	stats.Chunks += R * cpr
 	stats.Parallelism = workers
 	stats.RoundsExecuted, stats.RoundsBudget = R, fr
@@ -279,43 +279,47 @@ func (idx *Index) runWalkPhase(ctx context.Context, s *queryState, u int, opts O
 	// sB(u, v): median over rounds (missing rounds count as zero), folded
 	// into the dense final-score accumulator.
 	s.medianScores(R)
-	return nil
+	return ran, nil
 }
 
 // runWindow executes chunks [lo, hi) of ph on up to p workers — s itself
 // plus states borrowed for the window — and reports how many workers ran
-// them. A serial window is a plain loop on s. Workers claim chunks through
-// an atomic counter and check ctx before each one; a claimed chunk always
-// runs to completion, so a cancelled window leaves every state's
-// accumulators clean.
-func (idx *Index) runWindow(ctx context.Context, s *queryState, ph *walkPhase, lo, hi, p int) (int, error) {
+// them and how many chunks they ran. A serial window is a plain loop on s.
+// Workers claim chunks through an atomic counter and check ctx before each
+// one; a claimed chunk always runs to completion, so a cancelled window
+// leaves every state's accumulators clean.
+func (idx *Index) runWindow(ctx context.Context, s *queryState, ph *walkPhase, lo, hi, p int) (int, int, error) {
 	if p = min(p, hi-lo); p <= 1 {
 		for j := lo; j < hi; j++ {
 			if err := ctx.Err(); err != nil {
-				return 1, err
+				return 1, j - lo, err
 			}
 			s.runChunk(ph, j)
 		}
-		return 1, nil
+		return 1, hi - lo, nil
 	}
 	var (
 		next    atomic.Int64
+		ran     atomic.Int64
 		aborted atomic.Bool
 		wg      sync.WaitGroup
 	)
 	next.Store(int64(lo) - 1)
 	run := func(ws *queryState) {
+		n := int64(0)
 		for !aborted.Load() {
 			j := int(next.Add(1))
 			if j >= hi {
-				return
+				break
 			}
 			if ctx.Err() != nil {
 				aborted.Store(true)
-				return
+				break
 			}
 			ws.runChunk(ph, j)
+			n++
 		}
+		ran.Add(n)
 	}
 	for range p - 1 {
 		wg.Add(1)
@@ -329,7 +333,7 @@ func (idx *Index) runWindow(ctx context.Context, s *queryState, ph *walkPhase, l
 	}
 	run(s)
 	wg.Wait()
-	return p, ctx.Err()
+	return p, int(ran.Load()), ctx.Err()
 }
 
 // mergeRound folds round i's chunk results into s in the canonical order —

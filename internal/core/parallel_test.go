@@ -191,11 +191,12 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestWalkChunkCounters pins the lost-work signal: executed counts every
-// chunk run — including chunks a cancelled query discarded before the merge —
-// while merged counts only the chunks of completed walk phases, so
-// cancellation opens a gap. The adaptive input is cancelled after its first
-// round has run, which must not count as merged either.
+// TestWalkChunkCounters pins the lost-work signal QueryBatchEachIntoOpts
+// reports per call: the chunks it ran — including chunks a cancelled query
+// discarded before the merge — against the chunks merged into its results
+// (their Stats.Chunks), so cancellation opens a gap. The adaptive input is
+// cancelled after its first round has run, which must not count as merged
+// either.
 func TestWalkChunkCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -206,35 +207,40 @@ func TestWalkChunkCounters(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			idx := parallelTestIndex(t)
-			ex0, me0 := idx.WalkChunkCounters()
-			if ex0 != 0 || me0 != 0 {
-				t.Fatalf("fresh index counters = (%d, %d), want (0, 0)", ex0, me0)
-			}
-
 			var res Result
-			if err := idx.QueryIntoOpts(context.Background(), 4, &res, tc.q); err != nil {
+			ex, err := idx.QueryBatchEachIntoOpts(context.Background(), []int{4}, []*Result{&res}, []QueryOptions{tc.q})
+			if err != nil {
 				t.Fatalf("query: %v", err)
 			}
-			ex, me := idx.WalkChunkCounters()
-			if want := int64(res.Stats.Chunks); ex != want || me != want {
-				t.Fatalf("after solo query counters = (%d, %d), want (%d, %d)", ex, me, want, want)
+			if me := res.Stats.Chunks; ex != me || me == 0 {
+				t.Fatalf("after solo query executed = %d, merged = %d, want equal and positive", ex, me)
 			}
 
 			// A serial query checks ctx before every chunk. Cancel on the
 			// check after one round plus one chunk: exactly those chunks
 			// count as executed, none as merged.
-			ran := int64(idx.QueryChunks(QueryOptions{Adaptive: true}) + 1)
-			ctx := &countdownCtx{Context: context.Background(), limit: ran}
+			ran := idx.QueryChunks(QueryOptions{Adaptive: true}) + 1
+			ctx := &countdownCtx{Context: context.Background(), limit: int64(ran)}
 			var dropped Result
-			if err := idx.QueryIntoOpts(ctx, 4, &dropped, tc.q); err != context.Canceled {
+			ex2, err := idx.QueryBatchEachIntoOpts(ctx, []int{4}, []*Result{&dropped}, []QueryOptions{tc.q})
+			if err != context.Canceled {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			ex2, me2 := idx.WalkChunkCounters()
-			if ex2-ex != ran {
-				t.Fatalf("cancelled query executed %d chunks, want %d", ex2-ex, ran)
+			if ex2 != ran {
+				t.Fatalf("cancelled query executed %d chunks, want %d", ex2, ran)
 			}
-			if me2 != me {
-				t.Fatalf("cancelled query merged chunks (merged %d -> %d)", me, me2)
+			if dropped.Stats.Chunks != 0 {
+				t.Fatalf("cancelled query merged %d chunks", dropped.Stats.Chunks)
+			}
+
+			// A fused batch runs each source's chunks once.
+			results := []*Result{{}, {}, {}}
+			ex3, err := idx.QueryBatchEachIntoOpts(context.Background(), []int{1, 4, 7}, results, []QueryOptions{tc.q, tc.q, tc.q})
+			if err != nil {
+				t.Fatalf("batch: %v", err)
+			}
+			if me := results[0].Stats.Chunks + results[1].Stats.Chunks + results[2].Stats.Chunks; ex3 != me {
+				t.Fatalf("fused batch executed %d chunks, merged %d", ex3, me)
 			}
 		})
 	}
@@ -295,21 +301,22 @@ func TestQueryParallelCancellation(t *testing.T) {
 			q := QueryOptions{Adaptive: true, Parallelism: p}
 			// A window checks ctx before every chunk, and a parallel window
 			// once more after its workers join.
-			ran := int64(2*idx.QueryChunks(q) + 1)
-			limit := ran
+			ran := 2*idx.QueryChunks(q) + 1
+			limit := int64(ran)
 			if p > 1 {
 				limit++
 			}
 			ctx := &countdownCtx{Context: context.Background(), limit: limit}
 			res := Result{Scores: map[int]float64{7: 0.5}}
-			if err := idx.QueryIntoOpts(ctx, 7, &res, q); err != context.Canceled {
+			ex, err := idx.QueryBatchEachIntoOpts(ctx, []int{7}, []*Result{&res}, []QueryOptions{q})
+			if err != context.Canceled {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 			if res.Scores[7] != 0.5 {
 				t.Fatal("cancelled query mutated the caller's result")
 			}
-			if ex, me := idx.WalkChunkCounters(); ex != ran || me != 0 {
-				t.Fatalf("cancelled query counters = (%d, %d), want (%d, 0)", ex, me, ran)
+			if ex != ran || res.Stats.Chunks != 0 {
+				t.Fatalf("cancelled query counters = (%d, %d), want (%d, 0)", ex, res.Stats.Chunks, ran)
 			}
 			var got, want Result
 			if err := idx.QueryIntoOpts(context.Background(), 7, &got, q); err != nil {

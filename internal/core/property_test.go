@@ -32,7 +32,7 @@ func TestQueryScoresWithinRangeProperty(t *testing.T) {
 			return false
 		}
 		u := int(seed % 30)
-		res, err := idx.Query(u)
+		res, err := query(idx, u)
 		if err != nil {
 			return false
 		}

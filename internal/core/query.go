@@ -182,31 +182,6 @@ func (r *Result) AsSlice(n int) []float64 {
 	return out
 }
 
-// Query runs Algorithm 4: a single-source SimRank query from node u.
-func (idx *Index) Query(u int) (*Result, error) {
-	return idx.QueryCtx(context.Background(), u)
-}
-
-// QueryCtx is Query with cancellation: the context is checked before every
-// walk chunk, so a cancelled or expired context aborts the query within one
-// chunk's worth of work. Cancellation never consumes random values, so a
-// query that does complete is bit-identical whether or not a deadline was
-// attached.
-func (idx *Index) QueryCtx(ctx context.Context, u int) (*Result, error) {
-	res := &Result{}
-	if err := idx.QueryIntoCtx(ctx, u, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// QueryInto runs the query into a caller-owned Result, reusing res.Scores when
-// present so repeated queries on one worker amortize the map allocation. The
-// result is bit-identical to Query for the same source and index.
-func (idx *Index) QueryInto(u int, res *Result) error {
-	return idx.QueryIntoCtx(context.Background(), u, res)
-}
-
 // EffectiveOptions resolves the per-request options q against the index's
 // build options, returning the option set the query will actually run with
 // and whether the requested epsilon was clamped up to the build epsilon
@@ -216,33 +191,22 @@ func (idx *Index) EffectiveOptions(q QueryOptions) (Options, bool) {
 	return idx.opts.effective(q)
 }
 
-// QueryOpts answers a single-source query at a per-request accuracy target:
-// the effective epsilon (see EffectiveOptions) resizes the walk, backward-walk
-// and index-read budgets for this request only. A zero q is bit-identical to
-// QueryCtx.
-func (idx *Index) QueryOpts(ctx context.Context, u int, q QueryOptions) (*Result, error) {
-	res := &Result{}
-	if err := idx.QueryIntoOpts(ctx, u, res, q); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// QueryIntoCtx runs the query with the index's build-time options; it is
-// QueryIntoOpts with a zero per-request override.
-func (idx *Index) QueryIntoCtx(ctx context.Context, u int, res *Result) error {
-	return idx.QueryIntoOpts(ctx, u, res, QueryOptions{})
-}
-
-// QueryIntoOpts is the full query implementation behind Query, QueryCtx,
-// QueryInto and QueryOpts — the single entry point the whole request plane
-// funnels into. All scratch state — walkers, dense accumulators, the median
-// workspace, chunk results — comes from a per-index free list of query
-// states, so steady-state queries only allocate the returned score map
-// entries (and nothing at all when reusing a result whose map has already
-// grown to the support size). The query is Algorithm 4 run once: the walk
-// phase (runWalkPhase, with adaptive stopping as an early exit from its
-// loop), then the index-read pass over a one-source wave (readIndexFused).
+// QueryIntoOpts runs Algorithm 4, a single-source SimRank query from node u,
+// into a caller-owned Result, reusing res.Scores when present so repeated
+// queries on one worker amortize the map allocation. It is the single entry
+// point the whole request plane funnels into. All scratch state — walkers,
+// dense accumulators, the median workspace, chunk results — comes from a
+// per-index free list of query states, so steady-state queries only allocate
+// the returned score map entries (and nothing at all when reusing a result
+// whose map has already grown to the support size). The query is Algorithm 4
+// run once: the walk phase (runWalkPhase, with adaptive stopping as an early
+// exit from its loop), then the index-read pass over a one-source wave
+// (readIndexFused).
+//
+// The context is checked before every walk chunk, so a cancelled or expired
+// context aborts the query within one chunk's worth of work and leaves res
+// untouched. Cancellation never consumes random values, so a query that does
+// complete is bit-identical whether or not a deadline was attached.
 //
 // The per-request options resize the query's budgets without touching the
 // index: the effective epsilon (build epsilon, or a larger requested one)
@@ -266,14 +230,21 @@ func (idx *Index) QueryIntoCtx(ctx context.Context, u int, res *Result) error {
 // Bit-compatibility of scores across versions of this package is
 // intentionally not promised.
 func (idx *Index) QueryIntoOpts(ctx context.Context, u int, res *Result, q QueryOptions) error {
+	_, err := idx.queryInto(ctx, u, res, q)
+	return err
+}
+
+// queryInto is QueryIntoOpts reporting how many walk chunks it ran, including
+// those of a query cancelled before its merge.
+func (idx *Index) queryInto(ctx context.Context, u int, res *Result, q QueryOptions) (int, error) {
 	if res == nil {
-		return fmt.Errorf("core: QueryInto with nil result")
+		return 0, fmt.Errorf("core: QueryIntoOpts with nil result")
 	}
 	if err := q.Validate(); err != nil {
-		return err
+		return 0, err
 	}
 	if err := idx.g.CheckNode(u); err != nil {
-		return err
+		return 0, err
 	}
 	res.g = idx.g
 	start := time.Now()
@@ -283,12 +254,13 @@ func (idx *Index) QueryIntoOpts(ctx context.Context, u int, res *Result, q Query
 	defer idx.putState(s)
 
 	stats := [1]QueryStats{{Epsilon: opts.Epsilon}}
-	if err := idx.runWalkPhase(ctx, s, u, opts, q, q.Parallelism, &stats[0]); err != nil {
-		return err
+	ran, err := idx.runWalkPhase(ctx, s, u, opts, q, q.Parallelism, &stats[0])
+	if err != nil {
+		return ran, err
 	}
 	idx.readIndexFused([]*queryState{s}, []Options{opts}, stats[:])
 	s.finalize(u, res, &stats[0], start)
-	return nil
+	return ran, nil
 }
 
 // finalize publishes the state's dense final scores into res. Every fallible

@@ -9,6 +9,20 @@ import (
 	"prsim/internal/powermethod"
 )
 
+// query runs a single-source query from u at the index's build options.
+func query(idx *Index, u int) (*Result, error) {
+	return queryOpts(context.Background(), idx, u, QueryOptions{})
+}
+
+// queryOpts runs a single-source query from u at per-request options q.
+func queryOpts(ctx context.Context, idx *Index, u int, q QueryOptions) (*Result, error) {
+	res := &Result{}
+	if err := idx.QueryIntoOpts(ctx, u, res, q); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 func TestQueryMatchesExactSimRank(t *testing.T) {
 	g := fixtureGraph()
 	exact, err := powermethod.Compute(g, powermethod.Options{C: 0.6})
@@ -20,7 +34,7 @@ func TestQueryMatchesExactSimRank(t *testing.T) {
 		t.Fatalf("BuildIndex: %v", err)
 	}
 	for u := 0; u < g.N(); u++ {
-		res, err := idx.Query(u)
+		res, err := query(idx, u)
 		if err != nil {
 			t.Fatalf("Query(%d): %v", u, err)
 		}
@@ -52,7 +66,7 @@ func TestQueryMatchesExactOnLargerGraph(t *testing.T) {
 	}
 	sources := []int{0, 7, 55, 119}
 	for _, u := range sources {
-		res, err := idx.Query(u)
+		res, err := query(idx, u)
 		if err != nil {
 			t.Fatalf("Query(%d): %v", u, err)
 		}
@@ -75,10 +89,10 @@ func TestQueryInvalidSource(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	if _, err := idx.Query(-1); err == nil {
+	if _, err := query(idx, -1); err == nil {
 		t.Errorf("negative source should be an error")
 	}
-	if _, err := idx.Query(g.N()); err == nil {
+	if _, err := query(idx, g.N()); err == nil {
 		t.Errorf("out-of-range source should be an error")
 	}
 }
@@ -90,7 +104,7 @@ func TestQueryDeterministicForSeed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildIndex: %v", err)
 		}
-		res, err := idx.Query(1)
+		res, err := query(idx, 1)
 		if err != nil {
 			t.Fatalf("Query: %v", err)
 		}
@@ -114,7 +128,7 @@ func TestQueryStatsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	res, err := idx.Query(3)
+	res, err := query(idx, 3)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -203,8 +217,8 @@ func TestSampleScaleReducesWork(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	rFull, _ := full.Query(0)
-	rCheap, _ := cheap.Query(0)
+	rFull, _ := query(full, 0)
+	rCheap, _ := query(cheap, 0)
 	if rCheap.Stats.Walks >= rFull.Stats.Walks {
 		t.Errorf("SampleScale=0.1 used %d walks, full used %d; expected fewer",
 			rCheap.Stats.Walks, rFull.Stats.Walks)
@@ -238,16 +252,16 @@ func TestQueryOptsBudgetsScaleWithEpsilon(t *testing.T) {
 		t.Fatalf("BuildIndex: %v", err)
 	}
 	ctx := context.Background()
-	def, err := idx.QueryOpts(ctx, 5, QueryOptions{})
+	def, err := queryOpts(ctx, idx, 5, QueryOptions{})
 	if err != nil {
-		t.Fatalf("QueryOpts default: %v", err)
+		t.Fatalf("queryOpts default: %v", err)
 	}
 	if def.Stats.Epsilon != 0.15 {
 		t.Fatalf("default effective epsilon = %v, want 0.15", def.Stats.Epsilon)
 	}
-	coarse, err := idx.QueryOpts(ctx, 5, QueryOptions{Epsilon: 0.6})
+	coarse, err := queryOpts(ctx, idx, 5, QueryOptions{Epsilon: 0.6})
 	if err != nil {
-		t.Fatalf("QueryOpts coarse: %v", err)
+		t.Fatalf("queryOpts coarse: %v", err)
 	}
 	if coarse.Stats.Epsilon != 0.6 {
 		t.Fatalf("coarse effective epsilon = %v, want 0.6", coarse.Stats.Epsilon)
@@ -269,9 +283,9 @@ func TestQueryOptsBudgetsScaleWithEpsilon(t *testing.T) {
 	}
 
 	// Clamped request: identical to the default query, bit for bit.
-	clamped, err := idx.QueryOpts(ctx, 5, QueryOptions{Epsilon: 0.05})
+	clamped, err := queryOpts(ctx, idx, 5, QueryOptions{Epsilon: 0.05})
 	if err != nil {
-		t.Fatalf("QueryOpts clamped: %v", err)
+		t.Fatalf("queryOpts clamped: %v", err)
 	}
 	if clamped.Stats.Epsilon != 0.15 {
 		t.Fatalf("clamped effective epsilon = %v, want build 0.15", clamped.Stats.Epsilon)
@@ -294,9 +308,9 @@ func TestQueryOptsBudgetsScaleWithEpsilon(t *testing.T) {
 	}
 
 	// Determinism per tier: repeating a coarse query reproduces it exactly.
-	again, err := idx.QueryOpts(ctx, 5, QueryOptions{Epsilon: 0.6})
+	again, err := queryOpts(ctx, idx, 5, QueryOptions{Epsilon: 0.6})
 	if err != nil {
-		t.Fatalf("QueryOpts repeat: %v", err)
+		t.Fatalf("queryOpts repeat: %v", err)
 	}
 	if len(again.Scores) != len(coarse.Scores) {
 		t.Fatalf("repeat support %d vs %d", len(again.Scores), len(coarse.Scores))
@@ -309,8 +323,8 @@ func TestQueryOptsBudgetsScaleWithEpsilon(t *testing.T) {
 
 	// Invalid per-request epsilons are rejected before any work.
 	for _, bad := range []float64{-0.5, 1, 2} {
-		if _, err := idx.QueryOpts(ctx, 5, QueryOptions{Epsilon: bad}); !errors.Is(err, ErrInvalidEpsilon) {
-			t.Errorf("QueryOpts(epsilon=%v) error = %v, want ErrInvalidEpsilon", bad, err)
+		if _, err := queryOpts(ctx, idx, 5, QueryOptions{Epsilon: bad}); !errors.Is(err, ErrInvalidEpsilon) {
+			t.Errorf("queryOpts(epsilon=%v) error = %v, want ErrInvalidEpsilon", bad, err)
 		}
 	}
 }
@@ -324,7 +338,7 @@ func TestResultRebound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	res, err := idx.Query(4)
+	res, err := query(idx, 4)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -376,7 +390,7 @@ func TestLengthZeroWalksSampleNoPairs(t *testing.T) {
 	if u < 0 {
 		t.Fatal("graph has no node without in-neighbors")
 	}
-	res, err := idx.Query(u)
+	res, err := query(idx, u)
 	if err != nil {
 		t.Fatalf("Query(%d): %v", u, err)
 	}
@@ -404,7 +418,7 @@ func TestWalkPhaseSamplesFewPairs(t *testing.T) {
 	pairs, nr := 0, 0
 	for i := range 8 {
 		u := (i * 613) % idx.g.N()
-		res, err := idx.Query(u)
+		res, err := query(idx, u)
 		if err != nil {
 			t.Fatalf("Query(%d): %v", u, err)
 		}

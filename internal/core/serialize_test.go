@@ -52,7 +52,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// Loaded index must answer queries.
-	res, err := loaded.Query(0)
+	res, err := query(loaded, 0)
 	if err != nil {
 		t.Fatalf("Query on loaded index: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestLoadSelfContained(t *testing.T) {
 	if lidx.NumHubs() != idx.NumHubs() {
 		t.Errorf("hubs %d, want %d", lidx.NumHubs(), idx.NumHubs())
 	}
-	if _, err := lidx.Query(0); err != nil {
+	if _, err := query(lidx, 0); err != nil {
 		t.Fatalf("query on self-loaded index: %v", err)
 	}
 }

@@ -76,8 +76,9 @@ type UpdateStats struct {
 // activation sets are in memory (built in-process, or recomputed at least
 // once since a snapshot load) are tested exactly against that set; hubs
 // without one fall back to a sound residue upper bound (markAffected), which
-// is far more conservative — the first update after a snapshot load
-// recomputes broadly and thereby makes every later update exact. The
+// is far more conservative. Only recomputed hubs gain activation sets: a
+// carried hub copies the loaded index's empty one, so after a snapshot load
+// every hub no update has recomputed yet stays on the fallback. The
 // reverse-PageRank vector is recomputed exactly (it is deterministic), so the
 // result matches a from-scratch build over the same hub set bit for bit.
 // Periodically rebuilding with BuildIndex re-optimizes the hub selection
@@ -374,8 +375,9 @@ func slicesEq[T comparable](a, b []T) bool {
 // search from w could hold at the seeds. It is the conservative fallback for
 // hubs without an in-memory activation set (fresh snapshot loads): the bound
 // ignores truncation, so it over-marks heavily — by design it only needs to
-// be sound, since one broad recomputation rebuilds the activation sets that
-// make every later detection exact.
+// be sound. A hub it marks is recomputed and gains its activation set, so
+// exact detection spreads one recomputed hub at a time; hubs it leaves
+// unmarked are carried with no set and keep using this bound.
 //
 // The bound follows from unrolling the push recurrence: the residue a search
 // from w has at node x at level ℓ is at most Σ over length-ℓ out-paths w→x of

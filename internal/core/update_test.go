@@ -100,11 +100,11 @@ func TestApplyUpdatesMatchesForcedHubRebuild(t *testing.T) {
 		// Query scores of the incremental index are bit-identical to the
 		// forced-hub from-scratch rebuild (same seed, same graph bytes).
 		src := int(seed) % n
-		got, err := nidx.Query(src)
+		got, err := query(nidx, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := want.Query(src)
+		ref, err := query(want, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,11 +212,11 @@ func TestApplyUpdatesParityAgainstNaturalRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, src := range []int{0, 17, 41} {
-		a, err := nidx.Query(src)
+		a, err := query(nidx, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := scratch.Query(src)
+		b, err := query(scratch, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,11 +278,11 @@ func TestApplyUpdatesDriftBudget(t *testing.T) {
 		}
 		skippedAnywhere += dst.HubsSkippedDrift
 		for _, src := range []int{0, 333, 777} {
-			a, err := drift.Query(src)
+			a, err := query(drift, src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := exact.Query(src)
+			b, err := query(exact, src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -491,11 +491,11 @@ func FuzzApplyEdgeUpdates(f *testing.F) {
 		}
 		requireIndexesBitIdentical(t, cur, want)
 		src := int(seed) % n
-		a, err := cur.Query(src)
+		a, err := query(cur, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := want.Query(src)
+		b, err := query(want, src)
 		if err != nil {
 			t.Fatal(err)
 		}

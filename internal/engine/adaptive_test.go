@@ -18,7 +18,7 @@ func TestAdaptiveOffEngineBitParity(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, u := range []int{0, 42, 299} {
-		want, err := idx.Query(u)
+		want, err := coreQuery(idx, u, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("Query(%d): %v", u, err)
 		}
@@ -110,9 +110,9 @@ func TestRangeCoalescingCache(t *testing.T) {
 	if fixed.CacheHit || fixed.ServedFromTighter {
 		t.Fatalf("non-adaptive request range-matched: CacheHit=%v ServedFromTighter=%v", fixed.CacheHit, fixed.ServedFromTighter)
 	}
-	want, err := idx.QueryOpts(ctx, u, core.QueryOptions{Epsilon: 0.6})
+	want, err := coreQuery(idx, u, core.QueryOptions{Epsilon: 0.6})
 	if err != nil {
-		t.Fatalf("QueryOpts: %v", err)
+		t.Fatalf("coreQuery: %v", err)
 	}
 	sameResult(t, want, fixed.Result)
 
@@ -157,9 +157,9 @@ func TestRangeCoalescingPrefersTightest(t *testing.T) {
 	}
 	// The fixed-budget 0.4 entry must be the one served (deterministic
 	// tie-break): its bits are the fixed path's.
-	want, err := idx.QueryOpts(ctx, u, core.QueryOptions{Epsilon: 0.4})
+	want, err := coreQuery(idx, u, core.QueryOptions{Epsilon: 0.4})
 	if err != nil {
-		t.Fatalf("QueryOpts: %v", err)
+		t.Fatalf("coreQuery: %v", err)
 	}
 	sameResult(t, want, resp.Result)
 }

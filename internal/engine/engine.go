@@ -39,8 +39,8 @@
 // a worker that stays busy performs near-zero per-query allocation. Results
 // are deterministic for a fixed index seed and effective epsilon regardless
 // of worker count or scheduling: each source's random stream is derived from
-// (seed, source) only, so Engine.QueryBatch returns bit-identical scores to
-// sequential Index.Query calls.
+// (seed, source) only, so DoBatch returns bit-identical scores to sequential
+// core queries.
 //
 // The served index lives behind an atomically swappable handle: Swap installs
 // a new index (typically a freshly opened snapshot) without dropping
@@ -282,15 +282,13 @@ type Engine struct {
 
 	parallelQueries atomic.Int64
 
-	// chunkExecutedBase/chunkMergedBase carry the walk-chunk counters of
-	// swapped-out index generations forward: the live counters belong to the
-	// core Index (counted where the work happens, so cancelled-and-discarded
-	// chunks are included), and Stats adds the current index's counters on
-	// top of these bases. Queries still draining against an old generation
-	// after its Swap may increment counts the base fold already missed — a
-	// bounded undercount, acceptable for monitoring.
-	chunkExecutedBase atomic.Int64
-	chunkMergedBase   atomic.Int64
+	// chunksExecuted counts the walk chunks this engine's computations ran,
+	// cancelled ones included, as core reports them per call; chunksMerged
+	// sums the chunks of the results they returned. Counted here rather than
+	// on the index, so shards sharing one index and generations swapped out
+	// mid-query each count exactly the work they did.
+	chunksExecuted atomic.Int64
+	chunksMerged   atomic.Int64
 
 	// resPool recycles core.Results for queries whose Result never escapes
 	// the engine — top-k requests under the pooling rule of Request.K.
@@ -393,14 +391,6 @@ func (e *Engine) swap(idx *core.Index, res Resource, impact *core.UpdateStats) e
 	gen := e.gen.Add(1)
 	e.cur.Store(&slot{idx: idx, res: res, gen: gen})
 	e.swaps.Add(1)
-	if old.idx != idx {
-		// Fold the outgoing generation's walk-chunk counters into the bases
-		// so /stats stays monotonic across reloads. (Re-installing the same
-		// Index object would double-count, hence the guard.)
-		ex, me := old.idx.WalkChunkCounters()
-		e.chunkExecutedBase.Add(ex)
-		e.chunkMergedBase.Add(me)
-	}
 	if e.cache == nil {
 		return nil
 	}
@@ -590,34 +580,6 @@ func (e *Engine) finishResponse(en *entry, res *core.Result, k int) *Response {
 // rather than a real query failure.
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Query answers one single-source query with default options — a shim over
-// Do. The returned result may be shared with other callers when caching is
-// enabled; treat it as read-only.
-func (e *Engine) Query(ctx context.Context, u int) (*core.Result, error) {
-	resp, err := e.Do(ctx, Request{Source: u})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Result, nil
-}
-
-// QueryBatch answers one query per source, in order — a shim over DoBatch
-// with a zero base Request, so the cache-missing sources run as one fused
-// computation. Results are bit-identical to issuing the same queries
-// sequentially (duplicate sources may share one Result object). The batch
-// fails on its first error.
-func (e *Engine) QueryBatch(ctx context.Context, sources []int) ([]*core.Result, error) {
-	resps, err := e.DoBatch(ctx, Request{}, sources)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*core.Result, len(resps))
-	for i, r := range resps {
-		results[i] = r.Result
-	}
-	return results, nil
 }
 
 // DoBatch answers one request per source, in order; base supplies the shared
@@ -836,6 +798,7 @@ func (e *Engine) lead(ctx context.Context, s *slot, class Class, reqs []Request,
 		}
 	}
 	var svcElapsed time.Duration
+	ran := 0
 	err := func() error {
 		if err := e.admit(ctx, class); err != nil {
 			return err
@@ -856,8 +819,11 @@ func (e *Engine) lead(ctx context.Context, s *slot, class Class, reqs []Request,
 		for t := range qs {
 			qs[t].Parallelism = p
 		}
-		return s.idx.QueryBatchEachIntoOpts(ctx, sources, res, qs)
+		var err error
+		ran, err = s.idx.QueryBatchEachIntoOpts(ctx, sources, res, qs)
+		return err
 	}()
+	e.chunksExecuted.Add(int64(ran))
 	if err == nil {
 		// Feed the per-class service-time telemetry with the per-source
 		// cost: the group answers len(sources) sources in one admission slot,
@@ -866,15 +832,16 @@ func (e *Engine) lead(ctx context.Context, s *slot, class Class, reqs []Request,
 		// One computation is one unit of engaged parallelism, however many
 		// sources it answered: count it once when any wave fanned out. Round
 		// telemetry is per leader — each walked (and possibly stopped) on its
-		// own. (Chunk counters are maintained by core on the index itself,
-		// where cancelled-and-discarded chunks are visible; see Stats.)
-		maxPar := 0
+		// own, and so is the chunk count merged into each result.
+		merged, maxPar := 0, 0
 		for _, r := range res {
 			e.noteRounds(r.Stats)
+			merged += r.Stats.Chunks
 			if r.Stats.Parallelism > maxPar {
 				maxPar = r.Stats.Parallelism
 			}
 		}
+		e.chunksMerged.Add(int64(merged))
 		if maxPar > 1 {
 			e.parallelQueries.Add(1)
 		}
@@ -910,34 +877,6 @@ func (e *Engine) lead(ctx context.Context, s *slot, class Class, reqs []Request,
 		}
 	}
 	return err
-}
-
-// TopK answers a single-source query and returns its k best nodes (excluding
-// the source), ordered by descending score with ties broken by node id,
-// together with the graph the answering query ran on (a hot Swap can land
-// mid-flight, and labels must resolve against the generation that produced
-// the scores). Negative k is clamped to zero. It is a shim over Do with
-// Request.K set.
-//
-// When caching is enabled the full result is computed and cached exactly
-// like Query. With caching disabled the query runs into a pooled result that
-// never escapes the engine (unless an identical concurrent request coalesced
-// onto it), so a steady stream of TopK requests performs no per-request
-// result allocation: selection is a bounded-heap pass over the pooled score
-// map.
-func (e *Engine) TopK(ctx context.Context, u, k int) ([]core.ScoredNode, *graph.Graph, error) {
-	if k < 0 {
-		k = 0
-	}
-	resp, err := e.Do(ctx, Request{Source: u, K: k})
-	if err != nil {
-		return nil, nil, err
-	}
-	top := resp.Top
-	if top == nil {
-		top = []core.ScoredNode{}
-	}
-	return top, resp.Graph, nil
 }
 
 // Pair estimates the single-pair SimRank s(u, v). Pair queries skip the cache
@@ -1016,15 +955,14 @@ type Stats struct {
 	// that engaged more than one worker (intra-query parallelism actually
 	// used); a fused batch counts once however many sources it answered.
 	ParallelQueries int64
-	// ChunksExecuted counts intra-query walk chunks actually run, including
-	// chunks a cancelled query executed and then discarded before the merge;
-	// ChunksMerged counts chunks folded into results by the canonical merge.
-	// Executed−merged is therefore the work thrown away by cancellation
-	// (plus phases in flight at the snapshot instant) — a real lost-work
-	// signal, zero under healthy steady load. Counted on the served index
-	// where the work happens; swapped-out generations' totals are carried
-	// forward, minus whatever their draining in-flight queries add after the
-	// swap (a bounded undercount).
+	// ChunksExecuted counts intra-query walk chunks this engine's
+	// computations ran, including chunks a cancelled computation executed and
+	// then discarded before the merge; ChunksMerged counts chunks folded into
+	// the results they returned. Both are added when a computation returns,
+	// whichever index generation it ran on, so executed−merged is the work
+	// thrown away by cancellation (plus computations returning at the
+	// snapshot instant) — zero under healthy steady load, across hot swaps
+	// too.
 	ChunksExecuted int64
 	ChunksMerged   int64
 }
@@ -1047,7 +985,9 @@ type ClassStats struct {
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	cur := e.cur.Load()
-	executed, merged := cur.idx.WalkChunkCounters()
+	// lead adds executed before merged, so loading merged first can show a
+	// computation returning right now as a brief gap, never as a negative one.
+	merged := e.chunksMerged.Load()
 	depths := e.adm.depths()
 	svc := e.adm.serviceTimes()
 	s := Stats{
@@ -1083,8 +1023,8 @@ func (e *Engine) Stats() Stats {
 		},
 
 		ParallelQueries: e.parallelQueries.Load(),
-		ChunksExecuted:  e.chunkExecutedBase.Load() + executed,
-		ChunksMerged:    e.chunkMergedBase.Load() + merged,
+		ChunksExecuted:  e.chunksExecuted.Load(),
+		ChunksMerged:    merged,
 	}
 	if e.cache != nil {
 		s.CacheEntries = e.cache.len()

@@ -27,6 +27,25 @@ func testIndex(t testing.TB, n int) *core.Index {
 	return idx
 }
 
+// coreQuery answers one query from u straight off the index at per-request
+// options q, bypassing the engine.
+func coreQuery(idx *core.Index, u int, q core.QueryOptions) (*core.Result, error) {
+	res := &core.Result{}
+	if err := idx.QueryIntoOpts(context.Background(), u, res, q); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// query answers one default request from u through the engine.
+func query(ctx context.Context, e *Engine, u int) (*core.Result, error) {
+	resp, err := e.Do(ctx, Request{Source: u})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Result, nil
+}
+
 // sameResult asserts two results are bit-identical: same source and exactly
 // equal score maps (float equality, not tolerance).
 func sameResult(t *testing.T, want, got *core.Result) {
@@ -53,21 +72,21 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	sources := []int{0, 5, 17, 42, 5, 299, 0, 128}
 	want := make([]*core.Result, len(sources))
 	for i, u := range sources {
-		res, err := idx.Query(u)
+		res, err := coreQuery(idx, u, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("Query(%d): %v", u, err)
 		}
 		want[i] = res
 	}
-	got, err := e.QueryBatch(context.Background(), sources)
+	got, err := e.DoBatch(context.Background(), Request{}, sources)
 	if err != nil {
-		t.Fatalf("QueryBatch: %v", err)
+		t.Fatalf("DoBatch: %v", err)
 	}
 	if len(got) != len(sources) {
-		t.Fatalf("QueryBatch returned %d results, want %d", len(got), len(sources))
+		t.Fatalf("DoBatch returned %d results, want %d", len(got), len(sources))
 	}
 	for i := range sources {
-		sameResult(t, want[i], got[i])
+		sameResult(t, want[i], got[i].Result)
 	}
 }
 
@@ -75,12 +94,12 @@ func TestQueryIntoMatchesQuery(t *testing.T) {
 	idx := testIndex(t, 200)
 	var reused core.Result
 	for _, u := range []int{3, 77, 3, 150} {
-		want, err := idx.Query(u)
+		want, err := coreQuery(idx, u, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("Query(%d): %v", u, err)
 		}
-		if err := idx.QueryInto(u, &reused); err != nil {
-			t.Fatalf("QueryInto(%d): %v", u, err)
+		if err := idx.QueryIntoOpts(context.Background(), u, &reused, core.QueryOptions{}); err != nil {
+			t.Fatalf("QueryIntoOpts(%d): %v", u, err)
 		}
 		sameResult(t, want, &reused)
 	}
@@ -101,7 +120,7 @@ func TestConcurrentQueriesDeterministic(t *testing.T) {
 	}
 	want := make([]*core.Result, len(sources))
 	for i, u := range sources {
-		res, err := idx.Query(u)
+		res, err := coreQuery(idx, u, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("Query(%d): %v", u, err)
 		}
@@ -111,24 +130,24 @@ func TestConcurrentQueriesDeterministic(t *testing.T) {
 	const rounds = 3
 	var wg sync.WaitGroup
 	errs := make(chan error, rounds*2)
-	results := make([][]*core.Result, rounds)
+	results := make([][]*Response, rounds)
 	for r := 0; r < rounds; r++ {
 		wg.Add(2)
 		// Batched queries through the engine...
 		go func(r int) {
 			defer wg.Done()
-			got, err := e.QueryBatch(context.Background(), sources)
+			got, err := e.DoBatch(context.Background(), Request{}, sources)
 			if err != nil {
 				errs <- err
 				return
 			}
 			results[r] = got
 		}(r)
-		// ...racing direct Index.Query calls on the same pooled state.
+		// ...racing direct index queries on the same pooled state.
 		go func(r int) {
 			defer wg.Done()
 			u := sources[r%len(sources)]
-			if _, err := idx.Query(u); err != nil {
+			if _, err := coreQuery(idx, u, core.QueryOptions{}); err != nil {
 				errs <- err
 			}
 		}(r)
@@ -140,7 +159,7 @@ func TestConcurrentQueriesDeterministic(t *testing.T) {
 	}
 	for r := 0; r < rounds; r++ {
 		for i := range sources {
-			sameResult(t, want[i], results[r][i])
+			sameResult(t, want[i], results[r][i].Result)
 		}
 	}
 }
@@ -151,10 +170,10 @@ func TestQueryBatchRejectsBadSource(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := e.QueryBatch(context.Background(), []int{1, 2, 500}); err == nil {
+	if _, err := e.DoBatch(context.Background(), Request{}, []int{1, 2, 500}); err == nil {
 		t.Fatal("expected error for out-of-range source")
 	}
-	if _, err := e.QueryBatch(context.Background(), []int{-1}); err == nil {
+	if _, err := e.DoBatch(context.Background(), Request{}, []int{-1}); err == nil {
 		t.Fatal("expected error for negative source")
 	}
 }
@@ -162,12 +181,12 @@ func TestQueryBatchRejectsBadSource(t *testing.T) {
 func TestQueryBatchEmpty(t *testing.T) {
 	idx := testIndex(t, 100)
 	e, _ := New(idx, Options{})
-	got, err := e.QueryBatch(context.Background(), nil)
+	got, err := e.DoBatch(context.Background(), Request{}, nil)
 	if err != nil {
-		t.Fatalf("QueryBatch(nil): %v", err)
+		t.Fatalf("DoBatch(nil): %v", err)
 	}
 	if len(got) != 0 {
-		t.Fatalf("QueryBatch(nil) returned %d results", len(got))
+		t.Fatalf("DoBatch(nil) returned %d results", len(got))
 	}
 }
 
@@ -176,10 +195,10 @@ func TestQueryCancelled(t *testing.T) {
 	e, _ := New(idx, Options{Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Query(ctx, 0); err == nil {
+	if _, err := query(ctx, e, 0); err == nil {
 		t.Fatal("expected error from cancelled context")
 	}
-	if _, err := e.QueryBatch(ctx, []int{0, 1, 2}); err == nil {
+	if _, err := e.DoBatch(ctx, Request{}, []int{0, 1, 2}); err == nil {
 		t.Fatal("expected error from cancelled batch")
 	}
 	if _, err := e.Pair(ctx, 0, 1); err == nil {
@@ -198,11 +217,11 @@ func TestCacheHitsAndEviction(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	ctx := context.Background()
-	first, err := e.Query(ctx, 1)
+	first, err := query(ctx, e, 1)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	again, err := e.Query(ctx, 1)
+	again, err := query(ctx, e, 1)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -214,17 +233,17 @@ func TestCacheHitsAndEviction(t *testing.T) {
 		t.Errorf("CacheHits = %d, want 1", st.CacheHits)
 	}
 	// Fill past capacity; node 1 becomes LRU and is evicted.
-	if _, err := e.Query(ctx, 2); err != nil {
+	if _, err := query(ctx, e, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(ctx, 3); err != nil {
+	if _, err := query(ctx, e, 3); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
 	if st.CacheEntries != 2 {
 		t.Errorf("CacheEntries = %d, want 2", st.CacheEntries)
 	}
-	third, err := e.Query(ctx, 1)
+	third, err := query(ctx, e, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +256,12 @@ func TestCacheHitsAndEviction(t *testing.T) {
 func TestTopK(t *testing.T) {
 	idx := testIndex(t, 150)
 	e, _ := New(idx, Options{Workers: 2})
-	top, g, err := e.TopK(context.Background(), 7, 5)
+	resp, err := e.Do(context.Background(), Request{Source: 7, K: 5})
 	if err != nil {
-		t.Fatalf("TopK: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
-	if g != idx.Graph() {
+	top := resp.Top
+	if resp.Graph != idx.Graph() {
 		t.Errorf("TopK returned wrong graph")
 	}
 	if len(top) > 5 {
@@ -292,7 +312,7 @@ func TestQueryBatchPureCancellationStillReported(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.QueryBatch(ctx, []int{0, 1, 2})
+		_, err := e.DoBatch(ctx, Request{}, []int{0, 1, 2})
 		errc <- err
 	}()
 	waitFor(t, "the batch to wait for a worker", func() bool {
@@ -362,7 +382,7 @@ func TestJoinerOutlivesCancelledLeader(t *testing.T) {
 		src  int
 		resp *Response
 	}{{u, doResp}, {u, batchResps[0]}, {v, batchResps[1]}} {
-		want, err := idx.Query(c.src)
+		want, err := coreQuery(idx, c.src, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("Query(%d): %v", c.src, err)
 		}
@@ -402,11 +422,11 @@ func TestSwapGenerationAndCache(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	ctx := context.Background()
-	a1, err := e.Query(ctx, 3)
+	a1, err := query(ctx, e, 3)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	a2, err := e.Query(ctx, 3)
+	a2, err := query(ctx, e, 3)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -426,7 +446,7 @@ func TestSwapGenerationAndCache(t *testing.T) {
 	if e.Index() != idxB {
 		t.Fatal("Index() still returns the old index after Swap")
 	}
-	b1, err := e.Query(ctx, 3)
+	b1, err := query(ctx, e, 3)
 	if err != nil {
 		t.Fatalf("Query after swap: %v", err)
 	}
@@ -456,12 +476,12 @@ func TestSwapRetainsResourcePerQuery(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := e.Query(ctx, i); err != nil {
+		if _, err := query(ctx, e, i); err != nil {
 			t.Fatalf("Query: %v", err)
 		}
 	}
-	if _, err := e.QueryBatch(ctx, []int{0, 1, 2, 3}); err != nil {
-		t.Fatalf("QueryBatch: %v", err)
+	if _, err := e.DoBatch(ctx, Request{}, []int{0, 1, 2, 3}); err != nil {
+		t.Fatalf("DoBatch: %v", err)
 	}
 	if _, err := e.Pair(ctx, 0, 1); err != nil {
 		t.Fatalf("Pair: %v", err)
@@ -474,7 +494,7 @@ func TestSwapRetainsResourcePerQuery(t *testing.T) {
 		t.Fatalf("Swap: %v", err)
 	}
 	before := resA.retains.Load()
-	if _, err := e.Query(ctx, 5); err != nil {
+	if _, err := query(ctx, e, 5); err != nil {
 		t.Fatalf("Query after swap: %v", err)
 	}
 	if resA.retains.Load() != before {
@@ -486,11 +506,11 @@ func TestSwapRetainsResourcePerQuery(t *testing.T) {
 
 	// Closing the *current* backing without a replacement must error cleanly.
 	resB.closed.Store(true)
-	if _, err := e.Query(ctx, 1); !errors.Is(err, ErrIndexClosed) {
+	if _, err := query(ctx, e, 1); !errors.Is(err, ErrIndexClosed) {
 		t.Fatalf("Query on closed backing = %v, want ErrIndexClosed", err)
 	}
-	if _, err := e.QueryBatch(ctx, []int{1}); !errors.Is(err, ErrIndexClosed) {
-		t.Fatalf("QueryBatch on closed backing = %v, want ErrIndexClosed", err)
+	if _, err := e.DoBatch(ctx, Request{}, []int{1}); !errors.Is(err, ErrIndexClosed) {
+		t.Fatalf("DoBatch on closed backing = %v, want ErrIndexClosed", err)
 	}
 	if _, err := e.Pair(ctx, 0, 1); !errors.Is(err, ErrIndexClosed) {
 		t.Fatalf("Pair on closed backing = %v, want ErrIndexClosed", err)
@@ -522,7 +542,7 @@ func TestSwapUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := e.Query(ctx, (w*31+i)%120); err != nil {
+				if _, err := query(ctx, e, (w*31+i)%120); err != nil {
 					t.Errorf("query during swaps: %v", err)
 					return
 				}
@@ -562,7 +582,7 @@ func TestCachedResultSharedReadOnly(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	ctx := context.Background()
-	shared, err := e.Query(ctx, 9)
+	shared, err := query(ctx, e, 9)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -597,7 +617,7 @@ func TestCachedResultSharedReadOnly(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				got, err := e.Query(ctx, 9)
+				got, err := query(ctx, e, 9)
 				if err != nil {
 					t.Errorf("cached query: %v", err)
 					return
@@ -805,7 +825,7 @@ func TestSwapKeepsCacheForIdenticalGraph(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	ctx := context.Background()
-	before, err := e.Query(ctx, 3)
+	before, err := query(ctx, e, 3)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -819,7 +839,7 @@ func TestSwapKeepsCacheForIdenticalGraph(t *testing.T) {
 	if st.CacheEntries != 1 {
 		t.Fatalf("CacheEntries = %d after same-graph swap, want 1 (kept)", st.CacheEntries)
 	}
-	after, err := e.Query(ctx, 3)
+	after, err := query(ctx, e, 3)
 	if err != nil {
 		t.Fatalf("Query after swap: %v", err)
 	}
@@ -853,7 +873,7 @@ func TestSwapPurgesCacheForDifferentGraph(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	ctx := context.Background()
-	if _, err := e.Query(ctx, 3); err != nil {
+	if _, err := query(ctx, e, 3); err != nil {
 		t.Fatalf("Query: %v", err)
 	}
 	if err := e.Swap(idxB, nil); err != nil {
@@ -866,7 +886,7 @@ func TestSwapPurgesCacheForDifferentGraph(t *testing.T) {
 	if st.CacheEntries != 0 {
 		t.Fatalf("CacheEntries = %d after different-graph swap, want 0 (purged)", st.CacheEntries)
 	}
-	if _, err := e.Query(ctx, 3); err != nil {
+	if _, err := query(ctx, e, 3); err != nil {
 		t.Fatalf("Query after swap: %v", err)
 	}
 	if got := e.Stats().CacheHits; got != 0 {
@@ -974,7 +994,7 @@ func TestDoTopKPooledAndCoalesced(t *testing.T) {
 	if resp.Graph != idx.Graph() {
 		t.Fatal("Top-k response bound to the wrong graph")
 	}
-	want, err := idx.Query(7)
+	want, err := coreQuery(idx, 7, core.QueryOptions{})
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}

@@ -93,18 +93,70 @@ func TestDoBatchParallelismStats(t *testing.T) {
 		t.Fatalf("chunk counters executed=%d merged=%d", st.ChunksExecuted, st.ChunksMerged)
 	}
 
-	// A hot swap folds the outgoing generation's counters into the bases, so
-	// the totals stay monotonic.
+	// The counters belong to the engine, not the index, so a hot swap leaves
+	// the totals monotonic.
 	if err := e.Swap(parallelEngineIndex(t), nil); err != nil {
 		t.Fatalf("Swap: %v", err)
 	}
-	if _, err := e.Query(context.Background(), 3); err != nil {
+	if _, err := query(context.Background(), e, 3); err != nil {
 		t.Fatalf("post-swap query: %v", err)
 	}
 	st2 := e.Stats()
 	if st2.ChunksExecuted <= st.ChunksExecuted || st2.ChunksExecuted != st2.ChunksMerged {
 		t.Fatalf("post-swap counters executed %d -> %d, merged %d",
 			st.ChunksExecuted, st2.ChunksExecuted, st2.ChunksMerged)
+	}
+}
+
+// gateResource parks the query that retains it until the gate opens, so a
+// test can land a Swap between a query taking its slot and its computation.
+type gateResource struct {
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gateResource) Retain() bool {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.gate
+	return true
+}
+
+func (g *gateResource) Release() {}
+
+// TestChunkCountersAcrossSwap pins that a computation's chunks count on the
+// engine that ran it, whichever index generation it ran on: a query that
+// retained the old backing before a Swap and computed after it must show up
+// as executed and merged, not vanish with the swapped-out index.
+func TestChunkCountersAcrossSwap(t *testing.T) {
+	gr := &gateResource{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	e, err := New(parallelEngineIndex(t), Options{Workers: 2, Resource: gr})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	type answer struct {
+		res *core.Result
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		res, err := query(context.Background(), e, 3)
+		done <- answer{res, err}
+	}()
+	<-gr.entered
+	if err := e.Swap(parallelEngineIndex(t), nil); err != nil {
+		t.Fatalf("Swap: %v", err)
+	}
+	close(gr.gate)
+	a := <-done
+	if a.err != nil {
+		t.Fatalf("query: %v", a.err)
+	}
+	st := e.Stats()
+	if want := int64(a.res.Stats.Chunks); want == 0 || st.ChunksExecuted != want || st.ChunksMerged != want {
+		t.Fatalf("counters executed=%d merged=%d, want both %d", st.ChunksExecuted, st.ChunksMerged, want)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestSwapWithImpactRetainsUntouchedEntries(t *testing.T) {
 		if resp.Graph != nidx.Graph() {
 			t.Errorf("source %d: retained result not rebound to the successor graph", u)
 		}
-		fresh, err := nidx.Query(u)
+		fresh, err := coreQuery(nidx, u, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("Query(%d): %v", u, err)
 		}

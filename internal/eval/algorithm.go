@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -60,8 +61,8 @@ func (a *prsimAlgo) IndexSizeBytes() int64            { return a.idx.SizeBytes()
 func (a *prsimAlgo) PreprocessingTime() time.Duration { return a.prep }
 
 func (a *prsimAlgo) SingleSource(u int) (map[int]float64, error) {
-	res, err := a.idx.Query(u)
-	if err != nil {
+	var res core.Result
+	if err := a.idx.QueryIntoOpts(context.Background(), u, &res, core.QueryOptions{}); err != nil {
 		return nil, err
 	}
 	return res.Scores, nil

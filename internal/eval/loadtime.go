@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -130,7 +131,8 @@ func RunLoadTime(cfg Config) (*LoadTimeResult, error) {
 				return nil, fmt.Errorf("eval: index after %s open: %w", m.name, err)
 			}
 			qStart := time.Now()
-			if _, err := sidx.Query(0); err != nil {
+			var r core.Result
+			if err := sidx.QueryIntoOpts(context.Background(), 0, &r, core.QueryOptions{}); err != nil {
 				snap.Close()
 				return nil, fmt.Errorf("eval: query after %s open: %w", m.name, err)
 			}

@@ -27,7 +27,7 @@ type QueryPathResult struct {
 	// NsPerQuery is the mean wall-clock nanoseconds per query.
 	NsPerQuery float64
 	// AllocsPerQuery and BytesPerQuery are the mean heap allocations and
-	// bytes per steady-state query (QueryInto with a reused result, the
+	// bytes per steady-state query (QueryIntoOpts with a reused result, the
 	// serving configuration) — the pooled-scratch guarantee says these stay
 	// near zero.
 	AllocsPerQuery float64
@@ -81,10 +81,10 @@ type ParallelTier struct {
 
 // RunQueryPath builds the standard power-law benchmark graph (150k nodes in
 // full mode, 30k in quick mode, average degree 10, γ = 2.5), indexes it, and
-// measures steady-state single-source queries through the pooled QueryInto
-// path. It is the experiment behind the kernel benchmarks: prsimbench
-// -experiment querypath -cpuprofile lets the per-sample cost of every kernel
-// change be attributed to walks, backward walks, or index reads.
+// measures steady-state single-source queries through the pooled
+// QueryIntoOpts path. It is the experiment behind the kernel benchmarks:
+// prsimbench -experiment querypath -cpuprofile lets the per-sample cost of
+// every kernel change be attributed to walks, backward walks, or index reads.
 func RunQueryPath(cfg Config) (*QueryPathResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -127,7 +127,7 @@ func RunQueryPath(cfg Config) (*QueryPathResult, error) {
 	// One warm-up query populates the scratch pool and the reused result, so
 	// the measured loop sees the steady state a serving worker sees.
 	var r core.Result
-	if err := idx.QueryInto(sources[0], &r); err != nil {
+	if err := idx.QueryIntoOpts(context.Background(), sources[0], &r, core.QueryOptions{}); err != nil {
 		return nil, err
 	}
 
@@ -136,7 +136,7 @@ func RunQueryPath(cfg Config) (*QueryPathResult, error) {
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for _, u := range sources {
-		if err := idx.QueryInto(u, &r); err != nil {
+		if err := idx.QueryIntoOpts(context.Background(), u, &r, core.QueryOptions{}); err != nil {
 			return nil, err
 		}
 		res.Walks += float64(r.Stats.Walks)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -139,12 +140,11 @@ func RunUpdateCost(cfg Config) (*UpdateCostResult, error) {
 
 			maxDiff := 0.0
 			for _, s := range sources {
-				inc, err := nidx.Query(s)
-				if err != nil {
+				var inc, ref core.Result
+				if err := nidx.QueryIntoOpts(context.Background(), s, &inc, core.QueryOptions{}); err != nil {
 					return nil, err
 				}
-				ref, err := rebuilt.Query(s)
-				if err != nil {
+				if err := rebuilt.QueryIntoOpts(context.Background(), s, &ref, core.QueryOptions{}); err != nil {
 					return nil, err
 				}
 				for v, sc := range inc.Scores {

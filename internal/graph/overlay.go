@@ -312,12 +312,3 @@ func (g *Graph) UpdatedNodes() []int {
 	sort.Ints(out)
 	return out
 }
-
-// Journal returns the overlay's mutation log in application order. The slice
-// aliases the overlay; treat it as read-only.
-func (g *Graph) Journal() []EdgeUpdate {
-	if g.ov == nil {
-		return nil
-	}
-	return g.ov.journal
-}

@@ -94,9 +94,6 @@ func DegreeCCDF(n int, deg func(int) int) (ks []int, frac []float64) {
 // OutDegreeCCDF returns the cumulative out-degree distribution Po(k).
 func (g *Graph) OutDegreeCCDF() ([]int, []float64) { return DegreeCCDF(g.n, g.OutDegree) }
 
-// InDegreeCCDF returns the cumulative in-degree distribution Pi(k).
-func (g *Graph) InDegreeCCDF() ([]int, []float64) { return DegreeCCDF(g.n, g.InDegree) }
-
 // OutPowerLawExponent estimates the cumulative power-law exponent gamma of the
 // out-degree distribution, i.e. Po(k) ~ k^-gamma. The second return value is
 // false when the degree range is too narrow for the fit to be meaningful.
@@ -104,17 +101,6 @@ func (g *Graph) OutPowerLawExponent() (float64, bool) {
 	ds := make([]int, g.n)
 	for v := range ds {
 		ds[v] = g.OutDegree(v)
-	}
-	sort.Ints(ds)
-	return fitPowerLawExponent(ds)
-}
-
-// InPowerLawExponent estimates the cumulative power-law exponent of the
-// in-degree distribution.
-func (g *Graph) InPowerLawExponent() (float64, bool) {
-	ds := make([]int, g.n)
-	for v := range ds {
-		ds[v] = g.InDegree(v)
 	}
 	sort.Ints(ds)
 	return fitPowerLawExponent(ds)

@@ -15,7 +15,8 @@ import (
 // driven by one seeded RNG under a mutex, so a fixed seed yields the same
 // fault schedule on every run (subject to request arrival order; chaos
 // tests that need exact schedules serialize their calls). Faults compose:
-// a request first matches blackholes, then the error rate, then latency.
+// a request first matches blackholes, then the error rate, then the slow
+// tail.
 //
 // All knobs can be changed at runtime (Blackhole/Clear and the setters are
 // safe for concurrent use) — breaker-recovery tests inject a fault, watch
@@ -25,16 +26,12 @@ type FaultTransport struct {
 
 	mu         sync.Mutex
 	rng        *rand.Rand
-	errorRate  float64       // probability a request fails with a transport error
-	latency    time.Duration // added to every request
-	slowEvery  int           // every Nth request additionally waits slowBy (0 = off)
+	errorRate  float64 // probability a request fails with a transport error
+	slowEvery  int     // every Nth request waits slowBy (0 = off)
 	slowBy     time.Duration
 	slowCount  int64 // requests seen by the slow-path counter
 	blackholes map[string]bool
-	slowStart  time.Time    // requests before this instant fail (simulated boot)
 	reqCount   atomic.Int64 // all requests entering RoundTrip
-	faulted    atomic.Int64 // requests failed or blackholed by injection
-	delayed    atomic.Int64 // requests that hit the 1-in-N slow path
 }
 
 // NewFaultTransport wraps next (http.DefaultTransport when nil) with a
@@ -58,27 +55,12 @@ func (f *FaultTransport) SetErrorRate(p float64) {
 	f.mu.Unlock()
 }
 
-// SetLatency adds d to every request.
-func (f *FaultTransport) SetLatency(d time.Duration) {
-	f.mu.Lock()
-	f.latency = d
-	f.mu.Unlock()
-}
-
 // SetSlowTail makes every n-th request (counted across all hosts) wait an
 // additional d — the injected tail the hedging benchmark measures. n <= 0
 // disables.
 func (f *FaultTransport) SetSlowTail(n int, d time.Duration) {
 	f.mu.Lock()
 	f.slowEvery, f.slowBy = n, d
-	f.mu.Unlock()
-}
-
-// SetSlowStart fails every request for the next d — a replica that is up
-// but not yet serving (process boot, snapshot load).
-func (f *FaultTransport) SetSlowStart(d time.Duration) {
-	f.mu.Lock()
-	f.slowStart = time.Now().Add(d)
 	f.mu.Unlock()
 }
 
@@ -90,33 +72,17 @@ func (f *FaultTransport) Blackhole(host string) {
 	f.mu.Unlock()
 }
 
-// ClearBlackhole lifts a blackhole.
-func (f *FaultTransport) ClearBlackhole(host string) {
-	f.mu.Lock()
-	delete(f.blackholes, host)
-	f.mu.Unlock()
-}
-
-// Clear lifts every fault: error rate, latency, slow tail, slow start, and
-// all blackholes.
+// Clear lifts every fault: error rate, slow tail, and all blackholes.
 func (f *FaultTransport) Clear() {
 	f.mu.Lock()
 	f.errorRate = 0
-	f.latency = 0
 	f.slowEvery, f.slowBy = 0, 0
-	f.slowStart = time.Time{}
 	f.blackholes = make(map[string]bool)
 	f.mu.Unlock()
 }
 
 // Requests returns the number of requests that entered the injector.
 func (f *FaultTransport) Requests() int64 { return f.reqCount.Load() }
-
-// Faulted returns the number of requests the injector failed or blackholed.
-func (f *FaultTransport) Faulted() int64 { return f.faulted.Load() }
-
-// Delayed returns the number of requests that hit the injected slow tail.
-func (f *FaultTransport) Delayed() int64 { return f.delayed.Load() }
 
 // RoundTrip applies the fault schedule, then delegates to the wrapped
 // transport.
@@ -130,25 +96,21 @@ func (f *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			break
 		}
 	}
-	booting := !f.slowStart.IsZero() && time.Now().Before(f.slowStart)
 	failNow := f.errorRate > 0 && f.rng.Float64() < f.errorRate
-	delay := f.latency
+	var delay time.Duration
 	if f.slowEvery > 0 {
 		f.slowCount++
 		if f.slowCount%int64(f.slowEvery) == 0 {
-			delay += f.slowBy
-			f.delayed.Add(1)
+			delay = f.slowBy
 		}
 	}
 	f.mu.Unlock()
 
 	if blackholed {
-		f.faulted.Add(1)
 		<-req.Context().Done()
 		return nil, req.Context().Err()
 	}
-	if booting || failNow {
-		f.faulted.Add(1)
+	if failNow {
 		return nil, fmt.Errorf("fault injected: %s %s", req.Method, req.URL.Host)
 	}
 	if delay > 0 {

@@ -241,6 +241,35 @@ func TestAggregateEdgeCases(t *testing.T) {
 	}
 }
 
+// TestAggregateChunkCountersAcrossShards pins that sharding does not
+// multiply the walk-chunk counters: shards share one index, but each engine
+// counts only the chunks its own computations ran, so the graph-level sum
+// equals the chunks the answers actually merged at every shard count.
+func TestAggregateChunkCountersAcrossShards(t *testing.T) {
+	idx := testIndex(t, 300)
+	ctx := context.Background()
+	want := int64(-1)
+	for _, shards := range []int{1, 2, 4} {
+		s := mountShards(t, idx, shards)
+		merged := int64(0)
+		for i := 0; i < 20; i++ {
+			resp, err := s.Do(ctx, engine.Request{Source: i * 15})
+			if err != nil {
+				t.Fatalf("shards=%d: Do(%d): %v", shards, i*15, err)
+			}
+			merged += int64(resp.Result.Stats.Chunks)
+		}
+		if want < 0 {
+			want = merged
+		}
+		agg := Aggregate(s.Stats())
+		if merged != want || agg.ChunksMerged != want || agg.ChunksExecuted != want {
+			t.Fatalf("shards=%d: counters executed=%d merged=%d over answers merging %d, want all %d",
+				shards, agg.ChunksExecuted, agg.ChunksMerged, merged, want)
+		}
+	}
+}
+
 // TestRegistryLifecycle pins mount/get/unmount/names: duplicate mounts fail,
 // unknown gets fail typed, unmount closes the backing exactly once.
 func TestRegistryLifecycle(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"prsim/internal/core"
 	"prsim/internal/engine"
 	"prsim/internal/graph"
 )
@@ -64,9 +65,9 @@ func TestServedUpdateSwapsAllShards(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Do(%d) after update: %v", u, err)
 		}
-		want, err := nidx.Query(u)
-		if err != nil {
-			t.Fatalf("Query(%d): %v", u, err)
+		var want core.Result
+		if err := nidx.QueryIntoOpts(ctx, u, &want, core.QueryOptions{}); err != nil {
+			t.Fatalf("QueryIntoOpts(%d): %v", u, err)
 		}
 		if len(resp.Result.Scores) != len(want.Scores) {
 			t.Fatalf("source %d: support %d, want %d", u, len(resp.Result.Scores), len(want.Scores))

@@ -63,11 +63,11 @@ func requireSameServingState(t *testing.T, s *Snapshot, want *core.Index) {
 		t.Fatalf("gens %+v, want %+v", got, wantG)
 	}
 	for _, src := range []int{0, 1, 42, 200, 399} {
-		res, err := idx.Query(src)
+		res, err := query(idx, src)
 		if err != nil {
 			t.Fatalf("Query(%d): %v", src, err)
 		}
-		wantRes, err := want.Query(src)
+		wantRes, err := query(want, src)
 		if err != nil {
 			t.Fatalf("Query(%d): %v", src, err)
 		}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,6 +36,15 @@ func buildFixture(t testing.TB) (*graph.Graph, *core.Index, string) {
 		t.Fatalf("SaveFile: %v", err)
 	}
 	return g, idx, path
+}
+
+// query runs a single-source query from u at the index's build options.
+func query(idx *core.Index, u int) (*core.Result, error) {
+	res := &core.Result{}
+	if err := idx.QueryIntoOpts(context.Background(), u, res, core.QueryOptions{}); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // mustIndex unwraps Snapshot.Index in tests that know the snapshot is open.
@@ -119,11 +129,11 @@ func TestOpenSelfContained(t *testing.T) {
 		t.Errorf("hub count: self-contained %d, built %d", idx.NumHubs(), built.NumHubs())
 	}
 	for _, u := range []int{0, 57, 399} {
-		want, err := built.Query(u)
+		want, err := query(built, u)
 		if err != nil {
 			t.Fatalf("built query %d: %v", u, err)
 		}
-		got, err := idx.Query(u)
+		got, err := query(idx, u)
 		if err != nil {
 			t.Fatalf("self-contained query %d: %v", u, err)
 		}
@@ -291,7 +301,7 @@ func TestOpenRejectsOutOfRangeEntryNode(t *testing.T) {
 		for _, opts := range backings {
 			snap, err := Open(bad, nil, opts)
 			if err == nil {
-				_, qerr := mustIndex(t, snap).Query(0)
+				_, qerr := query(mustIndex(t, snap), 0)
 				snap.Close()
 				t.Fatalf("entry ids %#x opened (ForceStream=%v); first query: %v", node, opts.ForceStream, qerr)
 			}
@@ -325,11 +335,11 @@ func TestMappedQueryParity(t *testing.T) {
 	defer mapped.Close()
 
 	for _, u := range []int{0, 1, 57, 399} {
-		a, err := mustIndex(t, streamed).Query(u)
+		a, err := query(mustIndex(t, streamed), u)
 		if err != nil {
 			t.Fatalf("stream query %d: %v", u, err)
 		}
-		b, err := mustIndex(t, mapped).Query(u)
+		b, err := query(mustIndex(t, mapped), u)
 		if err != nil {
 			t.Fatalf("mapped query %d: %v", u, err)
 		}
@@ -446,7 +456,7 @@ func TestOpenIndexFree(t *testing.T) {
 	if mustIndex(t, snap).NumHubs() != 0 {
 		t.Errorf("index-free snapshot has %d hubs", mustIndex(t, snap).NumHubs())
 	}
-	if _, err := mustIndex(t, snap).Query(0); err != nil {
+	if _, err := query(mustIndex(t, snap), 0); err != nil {
 		t.Errorf("query on index-free snapshot: %v", err)
 	}
 }
@@ -528,7 +538,7 @@ func TestCloseDefersUnmapUntilRelease(t *testing.T) {
 			<-start
 			// The mapping must still be valid here even though Close has
 			// (likely) already run on the main goroutine.
-			if _, err := idx.Query(u); err != nil {
+			if _, err := query(idx, u); err != nil {
 				errs <- err
 			}
 		}(i * 31 % g.N())
@@ -569,7 +579,7 @@ func TestWarmUp(t *testing.T) {
 			}
 			snap.WarmUp()
 			idx := mustIndex(t, snap)
-			if _, err := idx.Query(0); err != nil {
+			if _, err := query(idx, 0); err != nil {
 				t.Fatalf("query after WarmUp: %v", err)
 			}
 			if err := snap.Close(); err != nil {
@@ -639,7 +649,7 @@ func FuzzOpenMapped(f *testing.F) {
 		if idx.Options() != wantOpts {
 			return
 		}
-		if _, err := idx.Query(0); err != nil {
+		if _, err := query(idx, 0); err != nil {
 			t.Fatalf("opened index cannot query: %v", err)
 		}
 	})

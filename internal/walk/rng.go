@@ -9,10 +9,7 @@
 // matches the ℓ-hop RPPR recurrence of the paper).
 package walk
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // RNG is a deterministic xoshiro256**-style generator. It is not safe for
 // concurrent use; clone one per goroutine with Split.
@@ -99,19 +96,6 @@ func (r *RNG) Intn(n int) int {
 		}
 	}
 	return int(hi)
-}
-
-// NormFloat64 returns a standard normal value (Box-Muller). Used by the
-// synthetic graph generators.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64Open()
-		v := r.Float64Open()
-		z := math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-		if !math.IsNaN(z) && !math.IsInf(z, 0) {
-			return z
-		}
-	}
 }
 
 // Perm returns a random permutation of [0, n).

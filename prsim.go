@@ -7,8 +7,12 @@
 //
 //	g, err := prsim.LoadGraphFile("graph.txt")        // or Generate*/LoadDataset
 //	idx, err := prsim.BuildIndex(g, prsim.Options{Epsilon: 0.1})
-//	res, err := idx.Query(u)                          // single-source SimRank
-//	top := res.TopK(50)
+//	resp, err := idx.Do(ctx, prsim.Request{Source: u}) // single-source SimRank
+//	top := resp.Result.TopK(50)
+//
+// Index.Do answers one request in-process; a Registry serves mounted indexes
+// with a worker pool, result cache, request coalescing and sharding behind
+// the same Request and Response types.
 //
 // The package also exposes the baseline algorithms evaluated in the paper
 // (Monte Carlo, SLING, ProbeSim, READS, TSF, TopSim) behind a common
@@ -20,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"prsim/internal/core"
 	"prsim/internal/dataset"
@@ -235,10 +238,6 @@ type Index struct {
 	// snap is non-nil when the index was opened from a snapshot file via
 	// OpenSnapshot; Close releases its mapping.
 	snap *snapshot.Snapshot
-
-	// batchEngine is the lazily created default engine behind QueryBatch.
-	engineOnce  sync.Once
-	batchEngine *engine.Engine
 }
 
 // BuildIndex runs PRSim preprocessing (Algorithm 1 of the paper) and returns
@@ -291,52 +290,10 @@ type IndexStats struct {
 	BuildTime float64
 }
 
-// Query answers an approximate single-source SimRank query from node u
-// (Algorithm 4 of the paper): every returned score is within Epsilon of the
-// true SimRank with probability 1-Delta. Queries are safe to run concurrently
-// from multiple goroutines; each draws pooled scratch state from the index.
-// Query is a shim over Do with a zero Request.
-func (idx *Index) Query(u int) (*Result, error) {
-	return idx.QueryCtx(context.Background(), u)
-}
-
-// QueryCtx is Query with cancellation: the context is checked at every
-// internal round boundary, so a cancelled or expired context aborts the query
-// early. A query that completes is bit-identical to Query for the same index.
-func (idx *Index) QueryCtx(ctx context.Context, u int) (*Result, error) {
-	resp, err := idx.Do(ctx, Request{Source: u})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Result, nil
-}
-
-// QueryBatch answers one single-source query per entry of sources, in order,
-// fanned out over GOMAXPROCS workers (PRSim queries are independent, so they
-// parallelize perfectly). Results are bit-identical to issuing the same
-// queries sequentially with Query. For control over worker count, caching and
-// statistics, build a dedicated Engine with NewEngine.
-func (idx *Index) QueryBatch(ctx context.Context, sources []int) ([]*Result, error) {
-	idx.engineOnce.Do(func() {
-		// Options are always valid here, so the only New error (nil index)
-		// cannot occur. MaxQueue -1 disables load shedding: this lazily built
-		// engine is a convenience fan-out, not a serving front-end, and
-		// concurrent QueryBatch callers expect to queue, not to be shed.
-		idx.batchEngine, _ = engine.New(idx.idx, engine.Options{Resource: idx.engineResource(), MaxQueue: -1})
-	})
-	inner, err := idx.batchEngine.QueryBatch(ctx, sources)
-	if err != nil {
-		return nil, err
-	}
-	return wrapResults(idx.g, inner), nil
-}
-
-// QueryPair estimates the single-pair SimRank s(u, v) to within Epsilon with
-// probability 1-Delta. It does not use the hub index and is cheaper than a
-// full single-source query when only one value is needed.
-func (idx *Index) QueryPair(u, v int) (float64, error) { return idx.idx.QueryPair(u, v) }
-
-// QueryPairCtx is QueryPair with cancellation.
+// QueryPairCtx estimates the single-pair SimRank s(u, v) to within Epsilon
+// with probability 1-Delta. It does not use the hub index and is cheaper than
+// a full single-source query when only one value is needed. The context
+// aborts the estimate early.
 func (idx *Index) QueryPairCtx(ctx context.Context, u, v int) (float64, error) {
 	return idx.idx.QueryPairCtx(ctx, u, v)
 }
@@ -389,8 +346,8 @@ func LoadIndexFile(path string, g *Graph) (*Index, error) {
 // On platforms without zero-copy support it transparently falls back to the
 // streaming loader; Backing and GraphBacking
 // report which path was taken. A snapshot-backed index must be released with
-// Close when no longer needed; Close defers the unmap until queries running
-// through an Engine have drained.
+// Close when no longer needed; Close defers the unmap until queries served
+// through a Registry have drained.
 //
 // OpenSnapshot always validates the structural invariants that queries rely
 // on for memory safety (including the embedded graph's CSR bounds and the
@@ -426,20 +383,8 @@ func OpenSnapshot(path string, g *Graph) (*Index, error) {
 	return &Index{g: g, idx: idx, snap: snap}, nil
 }
 
-// WarmUp asks the kernel to fault in the snapshot sections queries touch
-// first (the index entry slab and the embedded graph's adjacency arrays) via
-// madvise(MADV_WILLNEED). It is called automatically by OpenSnapshot and by
-// Engine.Swap and is a no-op for heap-backed indexes and off Linux; calling
-// it again is harmless and re-issues the hint (useful after memory
-// pressure evicted the page cache).
-func (idx *Index) WarmUp() {
-	if idx.snap != nil {
-		idx.snap.WarmUp()
-	}
-}
-
-// Advices reports which madvise hints the snapshot backing applied during the
-// most recent WarmUp — "willneed" for page-cache readahead over the hot
+// Advices reports which madvise hints the snapshot backing applied when
+// OpenSnapshot warmed it up — "willneed" for page-cache readahead over the hot
 // sections, "hugepage" for transparent-huge-page backing on the entry slab
 // (issued only when the slab is ≥2 MiB). Empty for heap-backed indexes and on
 // platforms without madvise. Serving layers surface it in stats so operators
@@ -484,7 +429,7 @@ func (idx *Index) GraphBacking() string {
 
 // Close releases the snapshot backing an index opened with OpenSnapshot; the
 // index must not be used for new work afterwards. Queries in flight through
-// an Engine hold references on the snapshot, so the unmap is deferred until
+// a Registry hold references on the snapshot, so the unmap is deferred until
 // they drain — closing a just-swapped-out index under live traffic is safe.
 // Close is idempotent, and a no-op for heap-backed indexes.
 func (idx *Index) Close() error {

@@ -2,6 +2,7 @@ package prsim
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -94,7 +95,7 @@ func TestBuildIndexAndQuery(t *testing.T) {
 	if st.BuildTime <= 0 || st.NumHubs != idx.NumHubs() {
 		t.Errorf("Stats inconsistent: %+v", st)
 	}
-	res, err := idx.Query(0)
+	res, err := query(idx, 0)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -118,7 +119,7 @@ func TestBuildIndexAndQuery(t *testing.T) {
 	if qs.Walks <= 0 || qs.Seconds <= 0 {
 		t.Errorf("query stats not populated: %+v", qs)
 	}
-	if _, err := idx.Query(-1); err == nil {
+	if _, err := query(idx, -1); err == nil {
 		t.Errorf("invalid query node should be an error")
 	}
 }
@@ -129,22 +130,22 @@ func TestQueryPairPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	s, err := idx.QueryPair(1, 1)
+	s, err := idx.QueryPairCtx(context.Background(), 1, 1)
 	if err != nil || s != 1 {
-		t.Errorf("QueryPair(v,v) = %v, %v", s, err)
+		t.Errorf("QueryPairCtx(v,v) = %v, %v", s, err)
 	}
-	pair, err := idx.QueryPair(0, 1)
+	pair, err := idx.QueryPairCtx(context.Background(), 0, 1)
 	if err != nil {
-		t.Fatalf("QueryPair: %v", err)
+		t.Fatalf("QueryPairCtx: %v", err)
 	}
-	res, err := idx.Query(0)
+	res, err := query(idx, 0)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
 	if math.Abs(pair-res.Score(1)) > 0.2 {
 		t.Errorf("pair query %v and single-source score %v disagree badly", pair, res.Score(1))
 	}
-	if _, err := idx.QueryPair(0, 100); err == nil {
+	if _, err := idx.QueryPairCtx(context.Background(), 0, 100); err == nil {
 		t.Errorf("invalid node should be an error")
 	}
 }
@@ -158,7 +159,7 @@ func TestIndexFreeOption(t *testing.T) {
 	if idx.NumHubs() != 0 {
 		t.Errorf("IndexFree index has %d hubs", idx.NumHubs())
 	}
-	if _, err := idx.Query(1); err != nil {
+	if _, err := query(idx, 1); err != nil {
 		t.Errorf("index-free query failed: %v", err)
 	}
 }

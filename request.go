@@ -8,8 +8,8 @@ import (
 	"prsim/internal/engine"
 )
 
-// ErrOverloaded is returned by Engine.Do (and the shims over it) when the
-// worker pool is saturated and the admission queue is full: the request was
+// ErrOverloaded is returned by Served.Do and Served.DoBatch when a shard's
+// worker pool is saturated and its admission queue is full: the request was
 // shed without doing any work. Callers should back off and retry; HTTP
 // front-ends map it to 429 Too Many Requests with a Retry-After header.
 var ErrOverloaded = engine.ErrOverloaded
@@ -40,11 +40,11 @@ const (
 )
 
 // Request is one unit of query work — the single parameter bundle the whole
-// stack shares: cmd/prsimserve decodes request bodies into it, Engine.Do
+// stack shares: cmd/prsimserve decodes request bodies into it, Served.Do
 // threads it through caching, coalescing and admission control, and Index.Do
 // hands it to core, which derives the walk and backward-walk budgets from it.
-// The zero value (plus a Source) reproduces the classic Query behavior
-// exactly; the legacy Query/QueryCtx/TopK signatures remain as shims over it.
+// The zero value plus a Source asks for the full single-source answer at the
+// index's build options.
 type Request struct {
 	// Source is the query node u.
 	Source int
@@ -91,7 +91,7 @@ type Request struct {
 	// (Response.ServedFromTighter).
 	Adaptive AdaptiveMode
 	// Graph names the logical graph a Registry routes this request to; empty
-	// means DefaultGraph. Ignored by Index.Do and Engine.Do, which serve
+	// means DefaultGraph. Ignored by Index.Do and Served.Do, which serve
 	// exactly one graph.
 	Graph string
 	// Class is the admission class: ClassInteractive (the zero value) jumps
@@ -163,8 +163,8 @@ type Response struct {
 // Do answers one Request directly against the index: per-request epsilon
 // (clamped to the build epsilon) resizes the query's sampling budgets, the
 // context carries the deadline, and K selects the top-k. Index.Do has no
-// cache, coalescing, or admission control — those are Engine features; it is
-// the single-caller entry point the engine builds on.
+// cache, coalescing, or admission control — a Registry's Served handle adds
+// those; it is the in-process entry point for a single caller.
 func (idx *Index) Do(ctx context.Context, req Request) (*Response, error) {
 	p := req.Parallelism
 	if p <= 0 {
@@ -187,25 +187,6 @@ func (idx *Index) Do(ctx context.Context, req Request) (*Response, error) {
 		resp.Top = pr.TopK(req.K)
 	}
 	return resp, nil
-}
-
-// Do answers one Request through the engine's full request plane: the LRU
-// cache (keyed by generation, source and effective epsilon), single-flight
-// coalescing of identical in-flight requests, and the bounded admission
-// queue (ErrOverloaded when full). See Request and Response for the knob and
-// metadata semantics.
-func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
-	inner, err := e.eng.Do(ctx, req.toEngine())
-	if err != nil {
-		return nil, err
-	}
-	return e.wrapEngineResponse(inner), nil
-}
-
-// wrapEngineResponse lifts an internal engine response into the public type
-// against this engine's current graph.
-func (e *Engine) wrapEngineResponse(inner *engine.Response) *Response {
-	return wrapResponse(e.cur.Load().g, inner)
 }
 
 // wrapResponse lifts an internal engine response into the public type,
@@ -238,50 +219,4 @@ func wrapResponse(cur *Graph, inner *engine.Response) *Response {
 		resp.Top = out
 	}
 	return resp
-}
-
-// DoBatch answers one request per source, in order; base supplies the shared
-// per-request options (its Source is ignored). The batch is fused: entries
-// not answered by the cache or an in-flight computation run as one core
-// computation that streams each index level once per batch into per-source
-// accumulators, with walk phases fanned out over the engine's workers.
-// Batches share the cache and coalesce with concurrent identical requests
-// exactly like Do; duplicate sources within one batch share one Result
-// (byte-identical entries) and report Coalesced. Results are bit-identical
-// to issuing the same requests sequentially. Do is the same path with one
-// entry. The batch fails on its first error, which is returned.
-func (e *Engine) DoBatch(ctx context.Context, base Request, sources []int) ([]*Response, error) {
-	inner, err := e.eng.DoBatch(ctx, base.toEngine(), sources)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Response, len(inner))
-	for i, r := range inner {
-		out[i] = e.wrapEngineResponse(r)
-	}
-	return out, nil
-}
-
-// DoBatchEach is DoBatch with fully heterogeneous entries: every request
-// carries its own source, epsilon, K, and adaptive mode, and the entries not
-// answered by the cache or an in-flight computation still fuse into one core
-// computation (each index level streamed once per batch, per-entry sampling
-// budgets). Entries behave exactly as if issued through Do — same bits, same
-// cache and coalescing semantics — including in-batch range coalescing: a
-// loose-epsilon adaptive entry may join a tighter entry of the same batch
-// rather than compute. Graph fields are ignored (an Engine serves one graph).
-func (e *Engine) DoBatchEach(ctx context.Context, reqs []Request) ([]*Response, error) {
-	ereqs := make([]engine.Request, len(reqs))
-	for i, r := range reqs {
-		ereqs[i] = r.toEngine()
-	}
-	inner, err := e.eng.DoBatchEach(ctx, ereqs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Response, len(inner))
-	for i, r := range inner {
-		out[i] = e.wrapEngineResponse(r)
-	}
-	return out, nil
 }

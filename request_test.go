@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"prsim/internal/core"
 )
 
 // requestPlaneIndex builds an index whose build epsilon leaves room for a 4x
@@ -21,18 +23,19 @@ func requestPlaneIndex(t *testing.T) *Index {
 	return idx
 }
 
-// TestIndexDoRequestPlane drives the public single-index entry point: shim
-// equivalence, per-request epsilon speedup, clamping, top-k selection, and
-// validation.
+// TestIndexDoRequestPlane drives the public single-index entry point:
+// equivalence with core's default query, per-request epsilon speedup,
+// clamping, top-k selection, and validation.
 func TestIndexDoRequestPlane(t *testing.T) {
 	idx := requestPlaneIndex(t)
 	ctx := context.Background()
 
-	// The zero request is the classic query, bit for bit.
-	want, err := idx.Query(7)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
+	// The zero request is core's default query, bit for bit.
+	var base core.Result
+	if err := idx.idx.QueryIntoOpts(ctx, 7, &base, core.QueryOptions{}); err != nil {
+		t.Fatalf("QueryIntoOpts: %v", err)
 	}
+	want := wrapResult(idx.g, &base)
 	resp, err := idx.Do(ctx, Request{Source: 7})
 	if err != nil {
 		t.Fatalf("Do: %v", err)
@@ -46,7 +49,7 @@ func TestIndexDoRequestPlane(t *testing.T) {
 	}
 	for v, s := range ws {
 		if gs[v] != s {
-			t.Fatalf("Do diverged from Query at node %d", v)
+			t.Fatalf("Do diverged from core at node %d", v)
 		}
 	}
 
@@ -97,15 +100,12 @@ func TestIndexDoRequestPlane(t *testing.T) {
 	}
 }
 
-// TestEngineDoRequestPlane drives the engine entry point: per-tier caching,
-// clamped requests sharing the default entry, batch options, and the
-// DoBatch/QueryBatch shim relationship.
+// TestEngineDoRequestPlane drives the engine behind a Registry mount:
+// per-tier caching, clamped requests sharing the default entry, and batch
+// options.
 func TestEngineDoRequestPlane(t *testing.T) {
 	idx := requestPlaneIndex(t)
-	eng, err := NewEngine(idx, EngineOptions{Workers: 2, CacheSize: 8})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
+	eng := mountIndex(t, idx, EngineOptions{Workers: 2, CacheSize: 8})
 	ctx := context.Background()
 
 	def, err := eng.Do(ctx, Request{Source: 3})
@@ -138,7 +138,7 @@ func TestEngineDoRequestPlane(t *testing.T) {
 	}
 
 	// NoCache requests recompute but never insert.
-	st := eng.Stats()
+	st := eng.StatsAggregate()
 	nc, err := eng.Do(ctx, Request{Source: 3, NoCache: true})
 	if err != nil {
 		t.Fatalf("Do nocache: %v", err)
@@ -146,15 +146,16 @@ func TestEngineDoRequestPlane(t *testing.T) {
 	if nc.CacheHit {
 		t.Fatal("NoCache request served from cache")
 	}
-	if got := eng.Stats().CacheEntries; got != st.CacheEntries {
+	if got := eng.StatsAggregate().CacheEntries; got != st.CacheEntries {
 		t.Fatalf("NoCache request changed cache entries %d -> %d", st.CacheEntries, got)
 	}
 
 	// DoBatch threads the shared options through every source.
-	resps, err := eng.DoBatch(ctx, Request{Epsilon: 0.6}, []int{1, 2, 1})
+	batch, err := eng.DoBatch(ctx, Request{Epsilon: 0.6}, []int{1, 2, 1})
 	if err != nil {
 		t.Fatalf("DoBatch: %v", err)
 	}
+	resps := batch.Responses
 	for i, r := range resps {
 		if r.Epsilon != 0.6 {
 			t.Fatalf("batch entry %d epsilon = %v, want 0.6", i, r.Epsilon)
@@ -172,12 +173,34 @@ func TestEngineDoRequestPlane(t *testing.T) {
 	}
 
 	// The engine's stats surface the request-plane counters.
-	est := eng.Stats()
+	est := eng.StatsAggregate()
 	if est.MaxQueue <= 0 {
 		t.Fatalf("MaxQueue = %d, want positive default", est.MaxQueue)
 	}
 	if est.CacheHits == 0 || est.Queries == 0 {
 		t.Fatalf("stats not counting: %+v", est)
+	}
+}
+
+// TestGraphConfigAdaptiveDefault pins that a mount's EngineOptions reach its
+// shard engines: with AdaptiveDefault set, a request that leaves Adaptive at
+// AdaptiveAuto resolves to adaptive execution, so it hits the cache entry an
+// explicit AdaptiveOn request left, and misses it when the default is off.
+func TestGraphConfigAdaptiveDefault(t *testing.T) {
+	idx := requestPlaneIndex(t)
+	ctx := context.Background()
+	for _, on := range []bool{true, false} {
+		eng := mountIndex(t, idx, EngineOptions{Workers: 2, CacheSize: 8, AdaptiveDefault: on})
+		if _, err := eng.Do(ctx, Request{Source: 3, Adaptive: AdaptiveOn}); err != nil {
+			t.Fatalf("Do adaptive: %v", err)
+		}
+		auto, err := eng.Do(ctx, Request{Source: 3})
+		if err != nil {
+			t.Fatalf("Do auto: %v", err)
+		}
+		if auto.CacheHit != on {
+			t.Errorf("AdaptiveDefault=%v: auto request CacheHit = %v, want %v", on, auto.CacheHit, on)
+		}
 	}
 }
 
@@ -194,10 +217,7 @@ func TestEngineDoTopKLabels(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	eng, err := NewEngine(idx, EngineOptions{Workers: 1})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
+	eng := mountIndex(t, idx, EngineOptions{Workers: 1})
 	resp, err := eng.Do(context.Background(), Request{Source: 0, K: 2})
 	if err != nil {
 		t.Fatalf("Do: %v", err)

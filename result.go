@@ -18,15 +18,6 @@ type Result struct {
 	inner *core.Result
 }
 
-// wrapResults lifts a slice of core results into the public type.
-func wrapResults(g *Graph, inner []*core.Result) []*Result {
-	out := make([]*Result, len(inner))
-	for i, r := range inner {
-		out[i] = wrapResult(g, r)
-	}
-	return out
-}
-
 // wrapResult pairs a core result with the public view of the graph it was
 // computed on. The result's own graph wins: results can be served from an
 // engine's cache across a hot Swap, and their labels and dimensions must

@@ -153,9 +153,10 @@ func (c GraphConfig) toRouter(open router.Opener) router.Config {
 	return router.Config{
 		Shards: c.Shards,
 		Engine: engine.Options{
-			Workers:   c.Engine.Workers,
-			CacheSize: c.Engine.CacheSize,
-			MaxQueue:  c.Engine.MaxQueue,
+			Workers:         c.Engine.Workers,
+			CacheSize:       c.Engine.CacheSize,
+			MaxQueue:        c.Engine.MaxQueue,
+			AdaptiveDefault: c.Engine.AdaptiveDefault,
 		},
 		Open: open,
 	}

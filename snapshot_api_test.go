@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -48,11 +49,11 @@ func TestOpenSnapshotAPI(t *testing.T) {
 	}
 
 	for _, u := range []int{0, 42, 299} {
-		a, err := streamed.Query(u)
+		a, err := query(streamed, u)
 		if err != nil {
 			t.Fatalf("streamed query %d: %v", u, err)
 		}
-		b, err := snap.Query(u)
+		b, err := query(snap, u)
 		if err != nil {
 			t.Fatalf("snapshot query %d: %v", u, err)
 		}
@@ -141,11 +142,11 @@ func TestOpenSnapshotSelfContainedAPI(t *testing.T) {
 		t.Errorf("GraphBacking = %q, want mmap or heap", b)
 	}
 	for u := 0; u < g.NumNodes(); u++ {
-		want, err := built.Query(u)
+		want, err := query(built, u)
 		if err != nil {
 			t.Fatalf("built query %d: %v", u, err)
 		}
-		got, err := snap.Query(u)
+		got, err := query(snap, u)
 		if err != nil {
 			t.Fatalf("snapshot query %d: %v", u, err)
 		}
@@ -159,18 +160,14 @@ func TestOpenSnapshotSelfContainedAPI(t *testing.T) {
 			}
 		}
 	}
-	// TopK through the engine resolves labels from the embedded table.
-	eng, err := NewEngine(snap, EngineOptions{Workers: 2})
+	// Top-k through a mounted engine resolves labels from the embedded table.
+	resp, err := mountIndex(t, snap, EngineOptions{Workers: 2}).Do(context.Background(), Request{Source: 0, K: 3})
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
-	top, err := eng.TopK(context.Background(), 0, 3)
-	if err != nil {
-		t.Fatalf("TopK: %v", err)
-	}
-	for _, s := range top {
+	for _, s := range resp.Top {
 		if s.Label == "" {
-			t.Errorf("TopK entry missing label: %+v", s)
+			t.Errorf("top-k entry missing label: %+v", s)
 		}
 	}
 }
@@ -209,7 +206,8 @@ func TestOpenSnapshotClosedIsLoud(t *testing.T) {
 // the registry types and the field names of the request/response bundles.
 // These names are the contract clients and the HTTP layer compile against —
 // additions are fine (extend the snapshot deliberately), renames and removals
-// are breaks this test exists to catch.
+// are breaks this test exists to catch. Index.Do and the Registry are the one
+// query plane, so the single-source shims it replaced must stay gone.
 func TestPublicAPISurface(t *testing.T) {
 	methods := func(v any) []string {
 		rt := reflect.TypeOf(v)
@@ -226,6 +224,14 @@ func TestPublicAPISurface(t *testing.T) {
 			out = append(out, rt.Field(i).Name)
 		}
 		return out
+	}
+	absent := func(name string, got, gone []string) {
+		t.Helper()
+		for _, m := range got {
+			if slices.Contains(gone, m) {
+				t.Errorf("%s regrew %s: Do is the one single-source entry point", name, m)
+			}
+		}
 	}
 	check := func(name string, got, want []string) {
 		t.Helper()
@@ -251,14 +257,11 @@ func TestPublicAPISurface(t *testing.T) {
 		"Current", "Generation", "NumShards", "Do", "DoBatch", "TopKMerged",
 		"Pair", "Reload", "Stats", "StatsAggregate",
 	})
-	check("Engine", methods(&Engine{}), []string{
-		"Workers", "Current", "Generation", "Swap", "Query", "QueryBatch",
-		"TopK", "Pair", "Do", "DoBatch", "Stats",
-	})
 	check("Index", methods(&Index{}), []string{
-		"Query", "QueryCtx", "QueryBatch", "QueryPair", "Do", "SaveFile",
+		"Do", "QueryPairCtx", "SaveFile",
 		"Verify", "Close", "Backing", "GraphBacking", "Graph", "Stats",
 	})
+	absent("Index", methods(&Index{}), []string{"Query", "QueryCtx", "QueryBatch", "QueryPair"})
 	check("Request", fields(Request{}), []string{
 		"Source", "Epsilon", "K", "NoCache", "Parallelism", "Graph", "Class",
 	})
