@@ -516,8 +516,9 @@ var (
 	snapshotFixturePath  string
 )
 
-// BenchmarkLoadIndexStream measures the portable streaming parse of a saved
-// snapshot — the cold-start cost the mmap open exists to avoid.
+// BenchmarkLoadIndexStream measures core's heap load of a saved snapshot —
+// read the file, check its CRC, decode every section into owned slices —
+// the cold-start cost the mmap open exists to avoid.
 func BenchmarkLoadIndexStream(b *testing.B) {
 	g, path := snapshotFixture(b)
 	st, err := os.Stat(path)

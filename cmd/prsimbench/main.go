@@ -20,9 +20,9 @@
 // (150k nodes with -full, 30k without).
 //
 // The loadtime experiment benchmarks the full serving cold start (graph +
-// index): an edge-list parse plus a streamed or mapped index against the
-// self-contained snapshot, which maps both out of one file (use -full for the
-// ≥100k-node configuration).
+// index): an edge-list parse plus an index read onto the heap or mapped,
+// against the self-contained snapshot, which maps both out of one file (use
+// -full for the ≥100k-node configuration).
 package main
 
 import (

@@ -309,8 +309,8 @@ func (c config) graphConfig() prsim.GraphConfig {
 
 // openIndex builds the index over g, or — with -loadindex — opens the
 // snapshot zero-copy, graph included, layering a published edge-update delta
-// over the base when one exists next to the file (streaming on platforms
-// without mmap).
+// over the base when one exists next to the file (the sections are copied
+// onto the heap on hosts that cannot view a mapping).
 func openIndex(cfg config, g *prsim.Graph) (*prsim.Index, error) {
 	if cfg.loadIndex == "" {
 		return prsim.BuildIndex(g, prsim.Options{

@@ -185,11 +185,11 @@ func (idx *Index) DeltaSize(base SnapshotGens) (uint64, error) {
 
 // OpenSnapshotDelta opens the successor snapshot described by a delta file
 // layered over its base snapshot, without materializing the spliced file:
-// both files are memory-mapped and every section is served zero-copy from
-// whichever file holds its current bytes. Queries are bit-identical to
-// opening a full Save of the successor. The base must be the v4 snapshot the
-// delta was written against (same lineage and generation); mismatches fail at
-// open. Falls back to splice-and-stream on platforms without mmap support.
+// both files are memory-mapped and every section is decoded from whichever
+// file holds its current bytes — zero-copy where OpenSnapshot's is, copied
+// onto the heap elsewhere. Queries are bit-identical to opening a full Save
+// of the successor. The base must be the v4 snapshot the delta was written
+// against (same lineage and generation); mismatches fail at open.
 func OpenSnapshotDelta(basePath, deltaPath string) (*Index, error) {
 	snap, err := snapshot.OpenDelta(basePath, deltaPath, snapshot.Options{})
 	if err != nil {

@@ -444,28 +444,39 @@ func ReadSnapshotGens(path string) (gens SnapshotGens, ok bool, err error) {
 		return SnapshotGens{}, false, err
 	}
 	defer f.Close()
-	var head [16]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return SnapshotGens{}, false, fmt.Errorf("core: reading snapshot prelude: %w", err)
-	}
-	version, err := snapshotFileVersion(head[:])
-	if err != nil {
-		return SnapshotGens{}, false, err
-	}
-	prefixLen, err := snapshotPrefixBytes(version)
-	if err != nil {
-		return SnapshotGens{}, false, err
-	}
-	prefix := make([]byte, prefixLen)
-	copy(prefix, head[:])
-	if _, err := io.ReadFull(f, prefix[16:]); err != nil {
-		return SnapshotGens{}, false, fmt.Errorf("core: reading snapshot prefix: %w", err)
-	}
-	l, err := parseSnapshotPrefix(prefix)
+	_, l, err := readSnapshotPrefix(f)
 	if err != nil {
 		return SnapshotGens{}, false, err
 	}
 	return l.Gens, l.HasGens(), nil
+}
+
+// readSnapshotPrefix reads the fixed prefix at the start of r, sized by the
+// version in its first 16 bytes, and validates it structurally. It returns
+// the prefix bytes and their layout.
+func readSnapshotPrefix(r io.Reader) ([]byte, *SnapshotLayout, error) {
+	var head [16]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, nil, fmt.Errorf("core: reading snapshot prelude: %w", err)
+	}
+	version, err := snapshotFileVersion(head[:])
+	if err != nil {
+		return nil, nil, err
+	}
+	prefixLen, err := snapshotPrefixBytes(version)
+	if err != nil {
+		return nil, nil, err
+	}
+	prefix := make([]byte, prefixLen)
+	copy(prefix, head[:])
+	if _, err := io.ReadFull(r, prefix[16:]); err != nil {
+		return nil, nil, fmt.Errorf("core: reading snapshot prefix: %w", err)
+	}
+	l, err := parseSnapshotPrefix(prefix)
+	if err != nil {
+		return nil, nil, err
+	}
+	return prefix, l, nil
 }
 
 // snapshotFileVersion inspects the first 16 bytes of a saved index and

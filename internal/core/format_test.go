@@ -175,8 +175,7 @@ func TestLoadIndexCorruptSnapshot(t *testing.T) {
 }
 
 // TestParseSnapshotLayoutTampered drives the structural validation the mmap
-// loader depends on (it cannot rely on the streaming loader's incremental
-// reads failing).
+// loader depends on (it cannot rely on a short read failing).
 func TestParseSnapshotLayoutTampered(t *testing.T) {
 	_, good := saveV4(t)
 
@@ -214,8 +213,9 @@ func TestParseSnapshotLayoutTampered(t *testing.T) {
 }
 
 // TestFinishLoadRejectsBadOffsets feeds structurally plausible but internally
-// inconsistent section views through the snapshot assembly path, which must
-// reject them (HubEntries would slice out of bounds otherwise).
+// inconsistent sections through the snapshot decoder, viewed and decoded
+// alike, which must reject them (HubEntries would slice out of bounds
+// otherwise).
 func TestFinishLoadRejectsBadOffsets(t *testing.T) {
 	g := fixtureGraph()
 	idx, err := BuildIndex(g, Options{Epsilon: 0.05, NumHubs: 3, Seed: 2})
@@ -231,36 +231,57 @@ func TestFinishLoadRejectsBadOffsets(t *testing.T) {
 			append([]uint64(nil), idx.entryOffsets...),
 			append([]IndexEntry(nil), idx.entrySlab...)
 	}
+	// decode encodes the sections as Save writes them and decodes them with
+	// and without viewing; it returns the first error, or nil when both
+	// accept.
+	decode := func(pi []float64, hubs []int, hlp, eo []uint64, slab []IndexEntry) error {
+		src := &Index{g: g, pi: pi, hubOrder: hubs, hubLevelPos: hlp, entryOffsets: eo, entrySlab: slab}
+		var secs SnapshotSections
+		for i := range secs {
+			var buf bytes.Buffer
+			enc := newSectionEncoder(&buf)
+			src.writeSection(enc, i)
+			if err := enc.finish(); err != nil {
+				t.Fatalf("encoding section %d: %v", i, err)
+			}
+			secs[i] = buf.Bytes()[:l.Sections[i].Len]
+		}
+		for _, mapped := range []bool{false, true} {
+			if _, _, _, err := DecodeSnapshot(&l, secs, g, mapped); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
-	pi, hubs, hlp, eo, slab := fresh()
-	if _, err := NewIndexFromSnapshot(g, &l, pi, hubs, hlp, eo, slab); err != nil {
+	if err := decode(fresh()); err != nil {
 		t.Fatalf("valid sections rejected: %v", err)
 	}
 
-	pi, hubs, hlp, eo, slab = fresh()
+	pi, hubs, hlp, eo, slab := fresh()
 	hlp[len(hlp)-1]++ // claims more level slots than entryOffsets has
-	if _, err := NewIndexFromSnapshot(g, &l, pi, hubs, hlp, eo, slab); err == nil {
+	if err := decode(pi, hubs, hlp, eo, slab); err == nil {
 		t.Errorf("inflated hubLevelPos accepted")
 	}
 
 	pi, hubs, hlp, eo, slab = fresh()
 	if len(eo) > 1 {
 		eo[0], eo[len(eo)-1] = eo[len(eo)-1], eo[0] // non-monotonic
-		if _, err := NewIndexFromSnapshot(g, &l, pi, hubs, hlp, eo, slab); err == nil {
+		if err := decode(pi, hubs, hlp, eo, slab); err == nil {
 			t.Errorf("non-monotonic entryOffsets accepted")
 		}
 	}
 
 	pi, hubs, hlp, eo, slab = fresh()
 	hubs[0] = g.N() + 5 // hub id out of range
-	if _, err := NewIndexFromSnapshot(g, &l, pi, hubs, hlp, eo, slab); err == nil {
+	if err := decode(pi, hubs, hlp, eo, slab); err == nil {
 		t.Errorf("out-of-range hub accepted")
 	}
 
 	pi, hubs, hlp, eo, slab = fresh()
 	if len(hubs) >= 2 {
 		hubs[1] = hubs[0] // duplicate hub
-		if _, err := NewIndexFromSnapshot(g, &l, pi, hubs, hlp, eo, slab); err == nil {
+		if err := decode(pi, hubs, hlp, eo, slab); err == nil {
 			t.Errorf("duplicate hub accepted")
 		}
 	}
@@ -271,7 +292,7 @@ func TestFinishLoadRejectsBadOffsets(t *testing.T) {
 	for _, node := range []int32{int32(g.N()), 1 << 30, -16} {
 		pi, hubs, hlp, eo, slab = fresh()
 		slab[len(slab)-1].Node = node // queries index score arrays with it
-		if _, err := NewIndexFromSnapshot(g, &l, pi, hubs, hlp, eo, slab); err == nil {
+		if err := decode(pi, hubs, hlp, eo, slab); err == nil {
 			t.Errorf("entry naming node %d of %d accepted", node, g.N())
 		}
 	}
@@ -289,10 +310,29 @@ func TestAsSliceIgnoresGarbageKeys(t *testing.T) {
 	}
 }
 
-// FuzzLoadIndex asserts the streaming loaders return clean errors — never
+// hostileCountPrefix is a v4 prefix — header, section table and generation
+// block, no payload — declaring 2^46 nodes, with a section table and file
+// size consistent with that count. A loader that sizes anything from the
+// header before the bytes arrive fails on it with a giant allocation.
+func hostileCountPrefix() []byte {
+	l := SnapshotLayout{Version: indexVersionV4, NNodes: 1 << 46, OutSorted: true}
+	l.Gens = SnapshotGens{Lineage: 1, Generation: 1}
+	for i := range l.Gens.Sections {
+		l.Gens.Sections[i] = 1
+	}
+	off := l.sectionsStart()
+	for i, n := range l.sectionLens() {
+		l.Sections[i] = Section{Off: off, Len: n}
+		off = align8(off + n)
+	}
+	l.FileSize = off + snapshotTrailerBytes
+	return encodeSnapshotPrefix(l)
+}
+
+// FuzzLoadIndex asserts the heap loaders return clean errors — never
 // panic — on arbitrary input, with a supplied graph (LoadIndex) and without
 // one (LoadSelfContained). Seeds include a valid v4 snapshot, its v3 twin,
-// and assorted prefixes/garbage.
+// assorted prefixes/garbage, and a prefix declaring 2^46 nodes.
 func FuzzLoadIndex(f *testing.F) {
 	g := fixtureGraph()
 	idx, err := BuildIndex(g, Options{Epsilon: 0.1, NumHubs: 2, Seed: 1, SampleScale: 0.01})
@@ -315,6 +355,7 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(v4.Bytes()[:v4.Len()-9])
 	f.Add(v3)
+	f.Add(hostileCountPrefix())
 
 	// Whatever parsed must be internally consistent enough to query. Only
 	// query when the options survived untampered: the header is not

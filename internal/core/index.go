@@ -33,8 +33,9 @@ type IndexEntry struct {
 // hubLevelPos[i]..hubLevelPos[i+1], and level slot k owns entries
 // entrySlab[entryOffsets[k]:entryOffsets[k+1]]. This is both the in-memory
 // and the snapshot's on-disk layout, so the same query code runs unchanged
-// whether the slices are heap-allocated (BuildIndex, streaming LoadIndex) or
-// zero-copy views over an mmap'd snapshot (internal/snapshot).
+// whether the slices are heap-allocated (BuildIndex, or DecodeSnapshot
+// copying a file's sections) or zero-copy views DecodeSnapshot makes over an
+// mmap'd snapshot (internal/snapshot).
 type Index struct {
 	g    *graph.Graph
 	opts Options

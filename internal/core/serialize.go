@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
+	"unsafe"
 
 	"prsim/internal/graph"
 )
@@ -211,197 +213,211 @@ func (idx *Index) SaveFile(path string) error {
 
 // LoadIndex reads a v4 (or v3) snapshot previously written with Save; v1 and
 // v2 files are rejected. The graph must be the same graph (same node count
-// and edges) the index was built from: the embedded graph sections are
-// checksummed and their shape is cross-checked against g, but g remains the
-// graph queries run on. To reconstruct the graph *from* the file, use
-// LoadSelfContained. For near-instant zero-copy loading from disk, use
-// internal/snapshot instead.
+// and edges) the index was built from: the whole file is checksummed and the
+// embedded graph's shape is cross-checked against g, but g remains the graph
+// queries run on. To reconstruct the graph *from* the file, use
+// LoadSelfContained. To use a saved file in place instead of copying it onto
+// the heap, open it with internal/snapshot.
 func LoadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
-	_, idx, err := loadIndexMaybeGraph(r, g)
+	data, err := readSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	_, idx, err := decodeOwned(data, g)
+	return idx, err
+}
+
+// LoadIndexFile reads an index from the given path, like LoadIndex.
+func LoadIndexFile(path string, g *graph.Graph) (*Index, error) {
+	if g == nil {
+		return nil, fmt.Errorf("core: nil graph")
+	}
+	// os.ReadFile sizes its buffer from the file, so the bytes arrive in one
+	// allocation instead of readSnapshot's doubling ones.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	_, idx, err := decodeOwned(data, g)
 	return idx, err
 }
 
 // LoadSelfContained reads a v4 (or v3) snapshot and reconstructs both the
 // graph and the index from it.
 func LoadSelfContained(r io.Reader) (*graph.Graph, *Index, error) {
-	return loadIndexMaybeGraph(r, nil)
+	data, err := readSnapshot(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return decodeOwned(data, nil)
 }
 
-// loadIndexMaybeGraph is the shared streaming loader. When g is nil the
-// embedded graph is reconstructed; when g is supplied it is used as the
-// index's graph (the graph sections are then decoded only to feed the
-// checksum and cross-check the shape).
-func loadIndexMaybeGraph(r io.Reader, g *graph.Graph) (*graph.Graph, *Index, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	var head [16]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return nil, nil, fmt.Errorf("core: loading index: %w", err)
-	}
-	version, err := snapshotFileVersion(head[:])
+// readSnapshot reads a whole snapshot from r: the fixed prefix first, then as
+// many bytes as its header declares. The buffer grows only as bytes arrive,
+// at most doubling each time, so a header declaring an enormous file costs a
+// truncated-read error, not an allocation of the declared size.
+func readSnapshot(r io.Reader) ([]byte, error) {
+	data, l, err := readSnapshotPrefix(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	prefixLen, err := snapshotPrefixBytes(version)
-	if err != nil {
-		return nil, nil, err
+	if l.FileSize > math.MaxInt {
+		return nil, fmt.Errorf("core: snapshot of %d bytes exceeds this platform's address space", l.FileSize)
 	}
-	prefix := make([]byte, prefixLen)
-	copy(prefix, head[:])
-	if _, err := io.ReadFull(br, prefix[16:]); err != nil {
-		return nil, nil, fmt.Errorf("core: loading index: %w", err)
+	for uint64(len(data)) < l.FileSize {
+		next := make([]byte, min(l.FileSize, 2*uint64(len(data))+1<<20))
+		n := copy(next, data)
+		if _, err := io.ReadFull(r, next[n:]); err != nil {
+			return nil, fmt.Errorf("core: loading index: %w", err)
+		}
+		data = next
 	}
-	l, err := parseSnapshotPrefix(prefix)
-	if err != nil {
-		return nil, nil, err
-	}
-	return loadSections(br, l, g)
+	return data, nil
 }
 
-// loadSections streams the section payload of a snapshot, verifying the CRC
-// trailer as it goes.
-func loadSections(r io.Reader, l *SnapshotLayout, g *graph.Graph) (*graph.Graph, *Index, error) {
-	if g != nil {
-		if int(l.NNodes) != g.N() {
-			return nil, nil, fmt.Errorf("core: index built for %d nodes but graph has %d", l.NNodes, g.N())
-		}
-		if int(l.NumEdges) != g.M() {
-			return nil, nil, fmt.Errorf("core: snapshot graph has %d edges but supplied graph has %d", l.NumEdges, g.M())
-		}
-	}
-	// NNodes and NumHubs are bounded (NumHubs <= NNodes, and NNodes by the
-	// trusted graph when one is supplied), so their sections are allocated up
-	// front. NumLevels and NumEntries are header-controlled and unbounded:
-	// those sections grow by appending as bytes actually arrive, so a hostile
-	// or corrupt header claiming 2^47 entries costs a truncated-read error,
-	// not a giant allocation.
-	idx := &Index{opts: l.Opts, gens: l.Gens}
-	idx.pi = make([]float64, 0, l.NNodes)
-	idx.hubOrder = make([]int, 0, l.NumHubs)
-	idx.hubLevelPos = make([]uint64, 0, l.NumHubs+1)
-	idx.entryOffsets = growCap[uint64](l.NumLevels + 1)
-	idx.entrySlab = growCap[IndexEntry](l.NumEntries)
-
-	dec := newSectionDecoder(r)
-	dec.section(l.Sections[sectionPi].Len, func(v uint64) {
-		idx.pi = append(idx.pi, math.Float64frombits(v))
-	})
-	dec.section(l.Sections[sectionHubOrder].Len, func(v uint64) {
-		idx.hubOrder = append(idx.hubOrder, int(v))
-	})
-	dec.section(l.Sections[sectionHubLevelPos].Len, func(v uint64) {
-		idx.hubLevelPos = append(idx.hubLevelPos, v)
-	})
-	dec.section(l.Sections[sectionEntryOffsets].Len, func(v uint64) {
-		idx.entryOffsets = append(idx.entryOffsets, v)
-	})
-	lo := true
-	dec.section(l.Sections[sectionEntrySlab].Len, func(v uint64) {
-		if lo {
-			idx.entrySlab = append(idx.entrySlab, IndexEntry{Node: int32(uint32(v))})
-		} else {
-			idx.entrySlab[len(idx.entrySlab)-1].Reserve = math.Float64frombits(v)
-		}
-		lo = !lo
-	})
-
-	eg, err := decodeGraphSections(dec, l, g == nil)
+// decodeOwned checks a whole in-memory snapshot's layout and checksum and
+// decodes it into slices the index owns, so data may be dropped afterwards.
+func decodeOwned(data []byte, g *graph.Graph) (*graph.Graph, *Index, error) {
+	l, err := ParseSnapshotLayout(data)
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := l.VerifyChecksum(data); err != nil {
+		return nil, nil, err
+	}
+	var secs SnapshotSections
+	for i, s := range l.Sections {
+		secs[i] = data[s.Off:s.End()]
+	}
+	g, idx, _, err := DecodeSnapshot(l, secs, g, false)
+	return g, idx, err
+}
+
+// SnapshotSections holds the bytes of a snapshot's sections in file order,
+// each exactly its layout's length (padding excluded). A delta-backed open
+// takes each section from whichever of its two files holds it.
+type SnapshotSections [snapshotSectionCount][]byte
+
+// hostViewsSections reports whether section bytes can serve as Go slices in
+// place: a 64-bit little-endian host, where int is the on-disk u64, and
+// IndexEntry is laid out like the on-disk 16-byte record (int32 node at 0,
+// float64 reserve at 8).
+var hostViewsSections = strconv.IntSize == 64 &&
+	binary.NativeEndian.Uint16([]byte{1, 0}) == 1 &&
+	unsafe.Sizeof(IndexEntry{}) == entryRecordBytes &&
+	unsafe.Offsetof(IndexEntry{}.Node) == 0 &&
+	unsafe.Offsetof(IndexEntry{}.Reserve) == 8
+
+// DecodeSnapshot is the one decoder of the snapshot format: every loader
+// hands it a parsed layout and the bytes of the 11 sections and gets the
+// graph and the index back. With g nil the graph is built from the embedded
+// sections; a supplied g must have the embedded graph's shape, and becomes
+// the graph queries run on.
+//
+// mapped says the bytes are a read-only mapping that outlives the index. On a
+// host that can use them in place (64-bit, little-endian, IndexEntry laid out
+// as on disk) the index's arrays, and the graph's when it is built here, are
+// then views over the mapping, and viewed is true. Otherwise every section is
+// decoded into slices the index owns, and the caller may drop the bytes.
+// Labels are copied either way: label strings escape into query responses,
+// where nothing keeps a mapping alive.
+//
+// DecodeSnapshot validates everything queries index with (CSR bounds, offset
+// arrays, hub and entry node ids) but not the checksum, which the caller
+// checks on its own schedule.
+func DecodeSnapshot(l *SnapshotLayout, secs SnapshotSections, g *graph.Graph, mapped bool) (_ *graph.Graph, _ *Index, viewed bool, err error) {
+	for i, b := range secs {
+		if uint64(len(b)) != l.Sections[i].Len {
+			return nil, nil, false, fmt.Errorf("core: snapshot section %d is %d bytes, layout says %d", i, len(b), l.Sections[i].Len)
+		}
+	}
+	view := mapped && hostViewsSections
 	if g == nil {
-		g = eg
+		if g, err = decodeGraph(l, &secs, view); err != nil {
+			return nil, nil, false, err
+		}
+	} else if uint64(g.N()) != l.NNodes || uint64(g.M()) != l.NumEdges {
+		return nil, nil, false, fmt.Errorf("core: snapshot graph is %d nodes / %d edges but supplied graph is %d / %d",
+			l.NNodes, l.NumEdges, g.N(), g.M())
 	}
-	if dec.err != nil {
-		return nil, nil, fmt.Errorf("core: loading index: %w", dec.err)
+	idx := &Index{
+		g:            g,
+		opts:         l.Opts,
+		gens:         l.Gens,
+		pi:           sectionSlice(secs[sectionPi], view, 8, f64At),
+		hubOrder:     sectionSlice(secs[sectionHubOrder], view, 8, intAt),
+		hubLevelPos:  sectionSlice(secs[sectionHubLevelPos], view, 8, binary.LittleEndian.Uint64),
+		entryOffsets: sectionSlice(secs[sectionEntryOffsets], view, 8, binary.LittleEndian.Uint64),
+		entrySlab:    sectionSlice(secs[sectionEntrySlab], view, entryRecordBytes, entryAt),
 	}
-	var trailer [snapshotTrailerBytes]byte
-	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return nil, nil, fmt.Errorf("core: loading index: %w", err)
-	}
-	want := binary.LittleEndian.Uint64(trailer[:])
-	if got := uint64(dec.crc.Sum32()); got != want {
-		return nil, nil, fmt.Errorf("core: snapshot checksum mismatch: file says %#x, computed %#x", want, got)
-	}
-	idx.g = g
 	if err := idx.finishLoad(); err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
-	return g, idx, nil
+	return g, idx, view, nil
 }
 
-// decodeGraphSections streams the graph sections. When build is false the
-// bytes are still consumed (they feed the checksum) but no graph is
-// materialized.
-func decodeGraphSections(dec *sectionDecoder, l *SnapshotLayout, build bool) (*graph.Graph, error) {
-	var outOff, inOff []int
-	var outAdj, inAdj []int32
-	if build {
-		outOff = make([]int, 0, l.NNodes+1)
-		inOff = make([]int, 0, l.NNodes+1)
-		outAdj = growCap[int32](l.NumEdges)
-		inAdj = growCap[int32](l.NumEdges)
-	}
-	discard64 := func(uint64) {}
-	discard32 := func(uint32) {}
-
-	emit64 := func(dst *[]int) func(uint64) {
-		if !build {
-			return discard64
-		}
-		return func(v uint64) { *dst = append(*dst, int(v)) }
-	}
-	emit32 := func(dst *[]int32) func(uint32) {
-		if !build {
-			return discard32
-		}
-		return func(v uint32) { *dst = append(*dst, int32(v)) }
-	}
-	dec.section(l.Sections[sectionGraphOutOff].Len, emit64(&outOff))
-	dec.section32(l.Sections[sectionGraphOutAdj].Len, emit32(&outAdj))
-	dec.section(l.Sections[sectionGraphInOff].Len, emit64(&inOff))
-	dec.section32(l.Sections[sectionGraphInAdj].Len, emit32(&inAdj))
-
-	var labelOffsets []uint64
-	var labelBlob []byte
-	if l.HasLabels && build {
-		labelOffsets = make([]uint64, 0, l.NNodes+1)
-		labelBlob = growCap[byte](l.LabelBytes)
-	}
-	dec.section(l.Sections[sectionLabelOffsets].Len, func(v uint64) {
-		if build {
-			labelOffsets = append(labelOffsets, v)
-		}
-	})
-	dec.raw(l.Sections[sectionLabelBlob].Len, func(p []byte) {
-		if build {
-			labelBlob = append(labelBlob, p...)
-		}
-	})
-	if dec.err != nil || !build {
-		return nil, nil
-	}
+// decodeGraph builds the embedded graph from its CSR and label sections.
+func decodeGraph(l *SnapshotLayout, secs *SnapshotSections, view bool) (*graph.Graph, error) {
 	if !l.OutSorted {
-		// Cannot happen for files written by Save, which sorts first; reject
-		// rather than silently serving the wrong walk order.
+		// Sorting rewrites the adjacency in place, which a read-only mapping
+		// forbids; Save always sorts before writing, so only hand-made files
+		// trip this.
 		return nil, fmt.Errorf("core: snapshot graph is not sorted by head in-degree")
 	}
-	eg, err := graph.FromCSR(outOff, outAdj, inOff, inAdj, true)
+	g, err := graph.FromCSR(
+		sectionSlice(secs[sectionGraphOutOff], view, 8, intAt),
+		sectionSlice(secs[sectionGraphOutAdj], view, 4, int32At),
+		sectionSlice(secs[sectionGraphInOff], view, 8, intAt),
+		sectionSlice(secs[sectionGraphInAdj], view, 4, int32At),
+		true,
+	)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot graph: %w", err)
 	}
 	if l.HasLabels {
-		labels, err := labelsFromTable(labelOffsets, labelBlob)
+		offsets := sectionSlice(secs[sectionLabelOffsets], view, 8, binary.LittleEndian.Uint64)
+		labels, err := labelsFromTable(offsets, secs[sectionLabelBlob])
 		if err != nil {
 			return nil, err
 		}
-		if err := eg.SetLabels(labels); err != nil {
+		if err := g.SetLabels(labels); err != nil {
 			return nil, fmt.Errorf("core: snapshot labels: %w", err)
 		}
 	}
-	return eg, nil
+	return g, nil
+}
+
+// sectionSlice returns the elements of one section whose records are size
+// bytes each: a view over b when view is set, otherwise a slice decoded from
+// b with at. Viewing relies on the section's 8-byte alignment, which the
+// layout guarantees within a page-aligned mapping, and on hostViewsSections.
+func sectionSlice[T any](b []byte, view bool, size int, at func([]byte) T) []T {
+	if len(b) == 0 {
+		return nil
+	}
+	if view {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/size)
+	}
+	out := make([]T, len(b)/size)
+	for i := range out {
+		out[i] = at(b[i*size:])
+	}
+	return out
+}
+
+func f64At(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+func intAt(b []byte) int { return int(binary.LittleEndian.Uint64(b)) }
+
+func int32At(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }
+
+// entryAt decodes one 16-byte entry record: u32 node, u32 zero padding, f64
+// reserve bits.
+func entryAt(b []byte) IndexEntry {
+	return IndexEntry{Node: int32(binary.LittleEndian.Uint32(b)), Reserve: f64At(b[8:])}
 }
 
 // labelsFromTable materializes the label table: offsets are prefix sums into
@@ -429,145 +445,12 @@ func labelsFromTable(offsets []uint64, blob []byte) ([]string, error) {
 	return labels, nil
 }
 
-// LabelsFromSections is the mmap-side twin of the streaming label decoder:
-// it materializes heap strings from zero-copy section views, so labels stay
-// valid after the mapping is closed. Exported within the module for
-// internal/snapshot.
-func LabelsFromSections(offsets []uint64, blob []byte) ([]string, error) {
-	return labelsFromTable(offsets, blob)
-}
-
-// growCap returns an empty slice whose initial capacity is count clamped to
-// a modest bound; callers append as section bytes arrive. This keeps
-// header-declared counts from driving allocations before any data has been
-// read.
-func growCap[T any](count uint64) []T {
-	const maxUpfront = 64 << 10
-	if count > maxUpfront {
-		count = maxUpfront
-	}
-	return make([]T, 0, count)
-}
-
-// sectionDecoder reads section payloads in large chunks, updating the
-// running CRC and handing the decoded elements to the caller. Its chunk size
-// is a multiple of 16, so no 4-, 8- or 16-byte element ever straddles a
-// refill. After every section it consumes the zero padding up to the next
-// 8-byte boundary.
-type sectionDecoder struct {
-	r        io.Reader
-	crc      hash.Hash32
-	scratch  []byte
-	consumed uint64 // payload bytes consumed, to locate padding
-	err      error
-}
-
-func newSectionDecoder(r io.Reader) *sectionDecoder {
-	return &sectionDecoder{r: r, crc: crc32.New(crcTable), scratch: make([]byte, 64<<10)}
-}
-
-// section reads byteLen bytes as little-endian u64s plus trailing padding.
-func (d *sectionDecoder) section(byteLen uint64, emit func(uint64)) {
-	d.chunks(byteLen, func(chunk []byte) {
-		for off := 0; off < len(chunk); off += 8 {
-			emit(binary.LittleEndian.Uint64(chunk[off:]))
-		}
-	})
-	d.skipPadding()
-}
-
-// section32 reads byteLen bytes as little-endian u32s plus trailing padding.
-func (d *sectionDecoder) section32(byteLen uint64, emit func(uint32)) {
-	d.chunks(byteLen, func(chunk []byte) {
-		for off := 0; off < len(chunk); off += 4 {
-			emit(binary.LittleEndian.Uint32(chunk[off:]))
-		}
-	})
-	d.skipPadding()
-}
-
-// raw reads byteLen arbitrary bytes plus trailing padding.
-func (d *sectionDecoder) raw(byteLen uint64, emit func([]byte)) {
-	d.chunks(byteLen, emit)
-	d.skipPadding()
-}
-
-// chunks feeds byteLen bytes through the CRC and emit in scratch-sized runs.
-func (d *sectionDecoder) chunks(byteLen uint64, emit func([]byte)) {
-	for byteLen > 0 && d.err == nil {
-		n := uint64(len(d.scratch))
-		if byteLen < n {
-			n = byteLen
-		}
-		chunk := d.scratch[:n]
-		if _, err := io.ReadFull(d.r, chunk); err != nil {
-			d.err = err
-			return
-		}
-		d.crc.Write(chunk)
-		emit(chunk)
-		d.consumed += n
-		byteLen -= n
-	}
-}
-
-// skipPadding consumes the zero bytes aligning the next section to 8 bytes.
-func (d *sectionDecoder) skipPadding() {
-	if d.err != nil || d.consumed%8 == 0 {
-		return
-	}
-	pad := 8 - d.consumed%8
-	var buf [8]byte
-	if _, err := io.ReadFull(d.r, buf[:pad]); err != nil {
-		d.err = err
-		return
-	}
-	d.crc.Write(buf[:pad])
-	d.consumed += pad
-}
-
-// NewIndexFromSnapshot assembles an Index whose slice backing was produced
-// elsewhere — typically zero-copy views over an mmap'd snapshot built by
-// internal/snapshot. It validates the slices against the layout and the
-// graph, then derives the in-memory bookkeeping (hub ranks, stats). The
-// returned index aliases the supplied slices; they must stay valid (mapped)
-// for the index's lifetime.
-func NewIndexFromSnapshot(g *graph.Graph, l *SnapshotLayout, pi []float64, hubOrder []int, hubLevelPos, entryOffsets []uint64, entrySlab []IndexEntry) (*Index, error) {
-	if g == nil {
-		return nil, fmt.Errorf("core: nil graph")
-	}
-	if int(l.NNodes) != g.N() {
-		return nil, fmt.Errorf("core: index built for %d nodes but graph has %d", l.NNodes, g.N())
-	}
-	if uint64(len(pi)) != l.NNodes ||
-		uint64(len(hubOrder)) != l.NumHubs ||
-		uint64(len(hubLevelPos)) != l.NumHubs+1 ||
-		uint64(len(entryOffsets)) != l.NumLevels+1 ||
-		uint64(len(entrySlab)) != l.NumEntries {
-		return nil, fmt.Errorf("core: snapshot section views do not match layout")
-	}
-	idx := &Index{
-		g:            g,
-		opts:         l.Opts,
-		gens:         l.Gens,
-		pi:           pi,
-		hubOrder:     hubOrder,
-		hubLevelPos:  hubLevelPos,
-		entryOffsets: entryOffsets,
-		entrySlab:    entrySlab,
-	}
-	if err := idx.finishLoad(); err != nil {
-		return nil, err
-	}
-	return idx, nil
-}
-
 // finishLoad derives everything a loaded index needs beyond its section
 // slices: it validates the offset-array invariants (HubEntries slices the
 // slab with them, so corrupt offsets must be rejected up front) and the entry
 // slab's node ids (queries index score arrays with them), rebuilds hubRank,
-// recomputes stats, and re-validates the loaded options. It runs identically
-// for streaming loads and mmap-backed snapshots, plain or delta-layered.
+// recomputes stats, and re-validates the loaded options. It runs for every
+// decode, viewed or copied, plain or delta-layered.
 func (idx *Index) finishLoad() error {
 	g := idx.g
 	n := g.N()
@@ -636,25 +519,4 @@ func (idx *Index) finishLoad() error {
 	// load of an index agrees with a fresh build of the same index).
 	idx.ensureGens()
 	return nil
-}
-
-// LoadIndexFile reads an index from the given path.
-func LoadIndexFile(path string, g *graph.Graph) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	defer f.Close()
-	return LoadIndex(f, g)
-}
-
-// LoadSelfContainedFile reads a snapshot from the given path, reconstructing
-// both graph and index.
-func LoadSelfContainedFile(path string) (*graph.Graph, *Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	defer f.Close()
-	return LoadSelfContained(f)
 }

@@ -16,7 +16,7 @@ import (
 // LoadTimeRow is one measured cold-start strategy.
 type LoadTimeRow struct {
 	// Mode names the strategy:
-	//   "parse+stream"  edge-list parse + streaming index load
+	//   "parse+stream"  edge-list parse + core's heap index load
 	//   "parse+mmap"    edge-list parse + zero-copy index mmap
 	//   "mmap"          one self-contained mapping for graph and index
 	//   "mmap+crc"      same, with full checksum validation at open
@@ -41,14 +41,14 @@ type LoadTimeResult struct {
 
 // RunLoadTime benchmarks the full cold start of a query server: getting from
 // files on disk to a queryable graph + index. The two edge-list strategies
-// re-parse the graph and open the snapshot against it, streaming the index or
-// mapping it (the graph parse dominates cold start exactly where the mmap
-// makes the index free); the self-contained strategy maps graph and index out
-// of the one file. Every mode opens the same v4 snapshot. Quick mode
-// uses a ~30k-node graph with the default index density; full mode uses a
-// 150k-node graph with a dense index (2000 hubs at ε=0.05). Each mode is
-// measured best-of-3; files stay warm in page cache between reps, so the
-// numbers isolate parse/validation cost rather than disk speed.
+// re-parse the graph and load the index against it, reading it onto the heap
+// with core's loader or mapping it (the graph parse dominates cold start
+// exactly where the mmap makes the index free); the self-contained strategy
+// maps graph and index out of the one file. Every mode opens the same v4
+// snapshot. Quick mode uses a ~30k-node graph with the default index density;
+// full mode uses a 150k-node graph with a dense index (2000 hubs at ε=0.05).
+// Each mode is measured best-of-3; files stay warm in page cache between
+// reps, so the numbers isolate parse/validation cost rather than disk speed.
 func RunLoadTime(cfg Config) (*LoadTimeResult, error) {
 	n := 150_000
 	opts := core.Options{C: cfg.Decay, Epsilon: 0.05, NumHubs: 2000, SampleScale: cfg.SampleScale, Seed: cfg.Seed}
@@ -86,29 +86,42 @@ func RunLoadTime(cfg Config) (*LoadTimeResult, error) {
 	}
 	res := &LoadTimeResult{Nodes: g.N(), Edges: g.M(), IndexBytes: st.Size()}
 
-	// openFn returns a ready-to-query snapshot, reloading the graph from the
-	// edge list when the strategy needs one.
+	// open returns a ready-to-query index and the function that releases it,
+	// reloading the graph from the edge list when the strategy needs one.
 	type mode struct {
-		name   string
-		openFn func() (*snapshot.Snapshot, error)
+		name string
+		open func() (*core.Index, func() error, error)
 	}
-	withGraph := func(sopts snapshot.Options) func() (*snapshot.Snapshot, error) {
-		return func() (*snapshot.Snapshot, error) {
-			pg, err := graph.ReadEdgeListFile(graphPath)
-			if err != nil {
-				return nil, err
+	mapped := func(withGraph bool, sopts snapshot.Options) func() (*core.Index, func() error, error) {
+		return func() (*core.Index, func() error, error) {
+			var pg *graph.Graph
+			if withGraph {
+				var err error
+				if pg, err = graph.ReadEdgeListFile(graphPath); err != nil {
+					return nil, nil, err
+				}
 			}
-			return snapshot.Open(snapPath, pg, sopts)
+			snap, err := snapshot.Open(snapPath, pg, sopts)
+			if err != nil {
+				return nil, nil, err
+			}
+			idx, _ := snap.Index() // fails only after Close
+			return idx, snap.Close, nil
 		}
 	}
-	selfContained := func(sopts snapshot.Options) func() (*snapshot.Snapshot, error) {
-		return func() (*snapshot.Snapshot, error) { return snapshot.Open(snapPath, nil, sopts) }
+	heap := func() (*core.Index, func() error, error) {
+		pg, err := graph.ReadEdgeListFile(graphPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		idx, err := core.LoadIndexFile(snapPath, pg)
+		return idx, func() error { return nil }, err
 	}
 	modes := []mode{
-		{"parse+stream", withGraph(snapshot.Options{ForceStream: true})},
-		{"parse+mmap", withGraph(snapshot.Options{})},
-		{"mmap", selfContained(snapshot.Options{})},
-		{"mmap+crc", selfContained(snapshot.Options{VerifyChecksum: true})},
+		{"parse+stream", heap},
+		{"parse+mmap", mapped(true, snapshot.Options{})},
+		{"mmap", mapped(false, snapshot.Options{})},
+		{"mmap+crc", mapped(false, snapshot.Options{VerifyChecksum: true})},
 	}
 	const reps = 3
 	var baseline float64
@@ -117,7 +130,7 @@ func RunLoadTime(cfg Config) (*LoadTimeResult, error) {
 		firstQuery := 0.0
 		for rep := 0; rep < reps; rep++ {
 			start := time.Now()
-			snap, err := m.openFn()
+			sidx, release, err := m.open()
 			if err != nil {
 				return nil, fmt.Errorf("eval: open %s: %w", m.name, err)
 			}
@@ -125,22 +138,17 @@ func RunLoadTime(cfg Config) (*LoadTimeResult, error) {
 			if rep == 0 || ms < best {
 				best = ms
 			}
-			sidx, err := snap.Index()
-			if err != nil {
-				snap.Close()
-				return nil, fmt.Errorf("eval: index after %s open: %w", m.name, err)
-			}
 			qStart := time.Now()
 			var r core.Result
 			if err := sidx.QueryIntoOpts(context.Background(), 0, &r, core.QueryOptions{}); err != nil {
-				snap.Close()
+				release()
 				return nil, fmt.Errorf("eval: query after %s open: %w", m.name, err)
 			}
 			qms := float64(time.Since(qStart).Nanoseconds()) / 1e6
 			if rep == 0 || qms < firstQuery {
 				firstQuery = qms
 			}
-			if err := snap.Close(); err != nil {
+			if err := release(); err != nil {
 				return nil, err
 			}
 		}

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -54,11 +55,10 @@ func deltaFixture(t *testing.T) (updated *core.Index, basePath, deltaPath, fullP
 	return updated, basePath, deltaPath, fullPath
 }
 
-// requireSameServingState asserts that an opened snapshot answers queries
-// bit-identically to the in-memory updated index.
-func requireSameServingState(t *testing.T, s *Snapshot, want *core.Index) {
+// requireSameServingState asserts that a loaded index carries want's
+// generation stamps and answers queries bit-identically to it.
+func requireSameServingState(t *testing.T, idx *core.Index, want *core.Index) {
 	t.Helper()
-	idx := mustIndex(t, s)
 	if got, wantG := idx.Gens(), want.Gens(); got != wantG {
 		t.Fatalf("gens %+v, want %+v", got, wantG)
 	}
@@ -83,65 +83,87 @@ func requireSameServingState(t *testing.T, s *Snapshot, want *core.Index) {
 }
 
 func TestOpenDeltaMapped(t *testing.T) {
-	if !Supported() {
-		t.Skip("zero-copy snapshots unsupported on this platform")
-	}
 	updated, basePath, deltaPath, _ := deltaFixture(t)
 	snap, err := OpenDelta(basePath, deltaPath, Options{VerifyChecksum: true})
 	if err != nil {
 		t.Fatalf("OpenDelta: %v", err)
 	}
 	defer snap.Close()
-	if !snap.Mapped() || !snap.GraphMapped() {
-		t.Fatalf("Mapped=%v GraphMapped=%v, want true/true", snap.Mapped(), snap.GraphMapped())
+	if snap.Mapped() != hostViews() || snap.GraphMapped() != hostViews() {
+		t.Fatalf("Mapped=%v GraphMapped=%v, want both %v on this platform", snap.Mapped(), snap.GraphMapped(), hostViews())
 	}
-	requireSameServingState(t, snap, updated)
+	requireSameServingState(t, mustIndex(t, snap), updated)
 	if err := snap.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
 	snap.WarmUp()
 	base, _ := os.Stat(basePath)
 	delta, _ := os.Stat(deltaPath)
-	if snap.SizeBytes() != base.Size()+delta.Size() {
-		t.Errorf("SizeBytes = %d, want %d", snap.SizeBytes(), base.Size()+delta.Size())
-	}
 	if delta.Size() >= base.Size() {
 		t.Errorf("delta (%d bytes) is not smaller than the base snapshot (%d bytes)", delta.Size(), base.Size())
 	}
 }
 
-// TestOpenDeltaStreamParity pins mmap/stream equivalence for delta opens: the
-// portable splice-and-stream fallback must reach the same serving state as
-// the zero-copy dual mapping.
-func TestOpenDeltaStreamParity(t *testing.T) {
-	updated, basePath, deltaPath, fullPath := deltaFixture(t)
-	stream, err := OpenDelta(basePath, deltaPath, Options{ForceStream: true})
+// spliceDelta is the reference side of the delta tests: it splices the delta
+// onto its base in memory and loads the result with core's heap loader.
+func spliceDelta(basePath, deltaPath string) (*core.Index, error) {
+	base, err := os.ReadFile(basePath)
 	if err != nil {
-		t.Fatalf("OpenDelta (stream): %v", err)
+		return nil, err
 	}
-	defer stream.Close()
-	if stream.Mapped() {
-		t.Fatalf("ForceStream open reports mapped")
+	delta, err := os.ReadFile(deltaPath)
+	if err != nil {
+		return nil, err
 	}
-	requireSameServingState(t, stream, updated)
+	full, err := core.SpliceDelta(base, delta)
+	if err != nil {
+		return nil, err
+	}
+	_, idx, err := core.LoadSelfContained(bytes.NewReader(full))
+	return idx, err
+}
 
-	// And both must match a plain open of the successor's full snapshot.
+// TestOpenDeltaSpliceParity pins loader parity for one successor state: the
+// two-file OpenDelta, SpliceDelta followed by core's heap loader, and Open and
+// the heap loader on the successor's full snapshot all answer like the
+// updated index.
+func TestOpenDeltaSpliceParity(t *testing.T) {
+	updated, basePath, deltaPath, fullPath := deltaFixture(t)
+	spliced, err := spliceDelta(basePath, deltaPath)
+	if err != nil {
+		t.Fatalf("SpliceDelta + heap load: %v", err)
+	}
+	requireSameServingState(t, spliced, updated)
+
+	delta, err := OpenDelta(basePath, deltaPath, Options{})
+	if err != nil {
+		t.Fatalf("OpenDelta: %v", err)
+	}
+	defer delta.Close()
+	requireSameServingState(t, mustIndex(t, delta), spliced)
+
 	full, err := Open(fullPath, nil, Options{})
 	if err != nil {
 		t.Fatalf("Open(full): %v", err)
 	}
 	defer full.Close()
-	requireSameServingState(t, full, mustIndex(t, stream))
+	requireSameServingState(t, mustIndex(t, full), spliced)
+	_, heap, err := loadSelfContained(fullPath)
+	if err != nil {
+		t.Fatalf("core.LoadSelfContained(full): %v", err)
+	}
+	requireSameServingState(t, heap, spliced)
 }
 
 func TestOpenDeltaRejectsWrongBase(t *testing.T) {
 	_, _, deltaPath, fullPath := deltaFixture(t)
 	// The successor's own full snapshot has the delta's target generation,
 	// not its base generation.
-	for _, stream := range []bool{false, true} {
-		if _, err := OpenDelta(fullPath, deltaPath, Options{ForceStream: stream}); err == nil {
-			t.Errorf("OpenDelta(stream=%v) onto the wrong generation succeeded", stream)
-		}
+	if _, err := OpenDelta(fullPath, deltaPath, Options{}); err == nil {
+		t.Errorf("OpenDelta onto the wrong generation succeeded")
+	}
+	if _, err := spliceDelta(fullPath, deltaPath); err == nil {
+		t.Errorf("SpliceDelta onto the wrong generation succeeded")
 	}
 }
 
@@ -156,12 +178,78 @@ func TestOpenDeltaDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := OpenDelta(basePath, deltaPath, Options{VerifyChecksum: true}); err == nil {
-		t.Errorf("mapped OpenDelta with corrupt payload succeeded")
+		t.Errorf("OpenDelta with corrupt payload succeeded")
 	}
-	// The streaming path always splices with full verification.
-	if _, err := OpenDelta(basePath, deltaPath, Options{ForceStream: true}); err == nil {
-		t.Errorf("streaming OpenDelta with corrupt payload succeeded")
+	// Splicing always verifies both files.
+	if _, err := spliceDelta(basePath, deltaPath); err == nil {
+		t.Errorf("SpliceDelta with corrupt payload succeeded")
 	}
+}
+
+// FuzzOpenDelta asserts OpenDelta returns clean errors — never panics — on
+// arbitrary delta bytes layered over a fixed, valid base: each input either
+// fails to open or yields an index that answers a query from node 0. Inputs
+// go through a real file, as FuzzOpenMapped's do.
+func FuzzOpenDelta(f *testing.F) {
+	// The same small index as FuzzOpenMapped's, so each input is cheap to
+	// write, open and query.
+	g, err := gen.PowerLaw(gen.PowerLawOptions{N: 60, AvgDegree: 4, Gamma: 2.5, Directed: true, Seed: 7})
+	if err != nil {
+		f.Fatalf("PowerLaw: %v", err)
+	}
+	built, err := core.BuildIndex(g, core.Options{Epsilon: 0.1, NumHubs: 4, Seed: 3, SampleScale: 0.05})
+	if err != nil {
+		f.Fatalf("BuildIndex: %v", err)
+	}
+	dir := f.TempDir()
+	basePath := filepath.Join(dir, "base.prsim")
+	if err := built.SaveFile(basePath); err != nil {
+		f.Fatalf("SaveFile: %v", err)
+	}
+	updated, _, err := built.ApplyUpdates([]graph.EdgeUpdate{{From: 1, To: 30}, {From: 42, To: 7}})
+	if err != nil {
+		f.Fatalf("ApplyUpdates: %v", err)
+	}
+	wantOpts := updated.Options()
+	var buf bytes.Buffer
+	if err := updated.WriteDelta(&buf, built.Gens()); err != nil {
+		f.Fatalf("WriteDelta: %v", err)
+	}
+	good := buf.Bytes()
+	f.Add(good)
+	f.Add(good[:64])
+	f.Add(good[:len(good)/2])
+	f.Add([]byte("not a delta at all"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := os.CreateTemp(dir, "fuzz-*.delta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer os.Remove(file.Name())
+		if _, err := file.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := file.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := OpenDelta(basePath, file.Name(), Options{})
+		if err != nil {
+			return
+		}
+		defer snap.Close()
+		// Query only when the options survived untampered: the embedded
+		// prefix is not checksummed on a mapped open, and a mutated epsilon
+		// can legitimately parse yet make the (correct) query astronomically
+		// expensive.
+		idx := mustIndex(t, snap)
+		if idx.Options() != wantOpts {
+			return
+		}
+		if _, err := query(idx, 0); err != nil {
+			t.Fatalf("opened index cannot query: %v", err)
+		}
+	})
 }
 
 func BenchmarkDeltaOpen(b *testing.B) {

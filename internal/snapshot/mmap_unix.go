@@ -9,8 +9,9 @@ import (
 	"syscall"
 )
 
-// mmapAvailable gates the zero-copy path; see Supported for the remaining
-// (byte order, word size, struct layout) conditions.
+// mmapAvailable tells the decoder that mmapFile's bytes are a mapping it may
+// view in place; core.DecodeSnapshot checks the remaining (word size, byte
+// order, struct layout) conditions.
 const mmapAvailable = true
 
 // mmapFile maps the whole file read-only and shared, so every process
@@ -22,10 +23,11 @@ func mmapFile(path string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	size, err := statSize(f)
+	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
+	size := st.Size()
 	if size == 0 {
 		return nil, fmt.Errorf("empty file")
 	}

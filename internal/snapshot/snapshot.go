@@ -1,17 +1,20 @@
 // Package snapshot opens saved PRSim indexes (snapshot v4 files written by
-// core.Save, or v3 files, which lack only the generation block) by
-// memory-mapping them and reconstructing the index's slices as zero-copy
-// views over the mapping. Every readable file embeds the graph's CSR
+// core.Save, or v3 files, which lack only the generation block) for serving.
+// Open memory-maps the file and hands its sections to core.DecodeSnapshot,
+// the one decoder of the format. Every readable file embeds the graph's CSR
 // adjacency arrays and label table too, so the *entire* serving state — graph
-// and index — comes out of one mapping: cold-starting a server on a multi-GB
-// index becomes an O(header + CSR validation) operation instead of an O(edge
-// list) parse, the kernel pages data in lazily as queries touch it, and
-// multiple server processes mapping the same file share one page cache.
-// Version 1 and 2 files do not embed the graph and are rejected.
+// and index — comes out of one mapping. On a 64-bit little-endian host the
+// decoder uses the mapping in place: the index's and the graph's arrays are
+// zero-copy views over it, cold-starting a server on a multi-GB index becomes
+// an O(header + CSR validation) operation instead of an O(edge list) parse,
+// the kernel pages data in lazily as queries touch it, and multiple server
+// processes mapping the same file share one page cache. Version 1 and 2 files
+// do not embed the graph and are rejected.
 //
-// On platforms where zero-copy mapping is unavailable (no mmap syscall,
-// 32-bit ints, big-endian byte order) Open falls back to the portable
-// streaming loader transparently; Mapped reports which path was taken.
+// Elsewhere — a 32-bit or big-endian host, or a platform without mmap, where
+// Open reads the file instead — the decoder copies every section onto the
+// heap, as core's heap loaders do, and Open checks the payload CRC before it
+// lets go of the bytes. Mapped reports which of the two happened.
 //
 // Snapshots are reference counted so they can be hot-swapped under live
 // traffic: Close drops the owner reference but defers the munmap until every
@@ -20,13 +23,9 @@
 package snapshot
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"sync/atomic"
-	"unsafe"
 
 	"prsim/internal/core"
 	"prsim/internal/graph"
@@ -47,17 +46,14 @@ type Options struct {
 	// with Snapshot.Verify. The structural invariants that queries rely on
 	// for memory safety (section table bounds, offset-array monotonicity,
 	// CSR adjacency bounds, index entry node ids) are always validated
-	// regardless of this option.
+	// regardless of this option. An open that copies the sections checks the
+	// CRC whatever this says.
 	VerifyChecksum bool
-	// ForceStream disables mmap and always uses the portable streaming
-	// loader. Useful for benchmarking the two paths against each other and
-	// for tests.
-	ForceStream bool
 }
 
-// numSections is the number of snapshot sections, taken from the layout's
-// array type so it cannot drift from the format definition.
-const numSections = len((core.SnapshotLayout{}).Sections)
+// numSections is the number of snapshot sections, taken from the decoder's
+// section array so it cannot drift from the format definition.
+const numSections = len(core.SnapshotSections{})
 
 // sectionView locates one section's bytes: for plain opens every view points
 // into the one mapped file, for delta opens each view points into whichever
@@ -74,8 +70,8 @@ type sectionView struct {
 type Snapshot struct {
 	idx         *core.Index
 	g           *graph.Graph
-	data        []byte // the mmap region; nil when the streaming fallback was used
-	delta       []byte // second mmap region for delta-backed opens; nil otherwise
+	data        []byte // the file's bytes while the index views them; nil after a copying open
+	delta       []byte // delta-backed opens: the delta file's bytes, kept like data
 	layout      *core.SnapshotLayout
 	baseLayout  *core.SnapshotLayout // delta-backed opens: the base file's layout
 	deltaLayout *core.DeltaLayout    // delta-backed opens: the delta file's layout
@@ -97,63 +93,36 @@ type Snapshot struct {
 	advices atomic.Pointer[[]string]
 }
 
-// entryLayoutOK reports whether Go laid out core.IndexEntry exactly like the
-// on-disk 16-byte record (int32 at 0, float64 at 8), which is what lets the
-// entry slab be viewed as a []core.IndexEntry without copying.
-var entryLayoutOK = unsafe.Sizeof(core.IndexEntry{}) == 16 &&
-	unsafe.Offsetof(core.IndexEntry{}.Node) == 0 &&
-	unsafe.Offsetof(core.IndexEntry{}.Reserve) == 8
-
-func hostLittleEndian() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}
-
-// Supported reports whether this platform can open snapshots zero-copy. When
-// false, Open still works via the streaming fallback.
-func Supported() bool {
-	return mmapAvailable && strconv.IntSize == 64 && hostLittleEndian() && entryLayoutOK
-}
-
 // Open opens a saved v3 or v4 snapshot. g is normally nil: the embedded graph
 // is reconstructed (zero-copy when mapped). When g is supplied it becomes the
 // graph queries run on, and the embedded graph's shape is cross-checked
-// against it.
-//
-// Open memory-maps the file when the platform supports it and falls back to
-// the streaming loader otherwise.
+// against it. The index views the mapping where the host allows it and owns
+// heap copies otherwise (see the package doc).
 func Open(path string, g *graph.Graph, opts Options) (*Snapshot, error) {
-	if opts.ForceStream || !Supported() {
-		return openStream(path, g)
-	}
 	data, err := mmapFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: mapping %s: %w", path, err)
 	}
-	snap, err := openMapped(data, g, opts)
-	if err != nil {
-		munmapFile(data)
-		return nil, err
+	s := &Snapshot{data: data}
+	if s.layout, err = core.ParseSnapshotLayout(data); err != nil {
+		s.unmap()
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	return snap, nil
+	for i := range s.views {
+		s.views[i] = sectionView{data: data, sec: s.layout.Sections[i]}
+	}
+	return s.decode(g, opts)
 }
 
 // OpenDelta opens the successor snapshot described by a delta file layered
 // over its base snapshot, without materializing the spliced file: both files
-// are memory-mapped and each section is viewed from whichever file holds its
+// are memory-mapped and each section is decoded from whichever file holds its
 // current bytes. The base must be the v4 snapshot the delta was written
 // against (same lineage, matching generation); the delta's unshipped
 // sections are served straight from the base mapping, so the combined open
 // faults in only the delta's changed sections beyond what the base mapping
 // already shares with other users of the same file.
-//
-// On platforms without zero-copy support (and with Options.ForceStream) the
-// two files are read, spliced into the full successor image in memory, and
-// parsed by the portable streaming loader.
 func OpenDelta(basePath, deltaPath string, opts Options) (*Snapshot, error) {
-	if opts.ForceStream || !Supported() {
-		return openStreamDelta(basePath, deltaPath)
-	}
 	base, err := mmapFile(basePath)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: mapping %s: %w", basePath, err)
@@ -163,196 +132,63 @@ func OpenDelta(basePath, deltaPath string, opts Options) (*Snapshot, error) {
 		munmapFile(base)
 		return nil, fmt.Errorf("snapshot: mapping %s: %w", deltaPath, err)
 	}
-	snap, err := openMappedDelta(base, delta, opts)
-	if err != nil {
-		munmapFile(delta)
-		munmapFile(base)
-		return nil, err
+	s := &Snapshot{data: base, delta: delta}
+	if err := s.layDelta(); err != nil {
+		s.unmap()
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	return snap, nil
+	return s.decode(nil, opts)
 }
 
-// openMappedDelta validates the two mapped files against each other and
-// assembles the zero-copy successor state.
-func openMappedDelta(base, delta []byte, opts Options) (*Snapshot, error) {
-	bl, err := core.ParseSnapshotLayout(base)
+// layDelta validates the two files against each other and points each
+// section's view at whichever file holds its current bytes.
+func (s *Snapshot) layDelta() error {
+	bl, err := core.ParseSnapshotLayout(s.data)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: base: %w", err)
+		return fmt.Errorf("base: %w", err)
 	}
-	d, err := core.ParseDeltaLayout(delta)
+	d, err := core.ParseDeltaLayout(s.delta)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return err
 	}
 	if err := d.CheckBase(bl); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return err
 	}
-	if opts.VerifyChecksum {
-		if err := bl.VerifyChecksum(base); err != nil {
-			return nil, fmt.Errorf("snapshot: base: %w", err)
-		}
-		if err := d.VerifyChecksum(delta); err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	layout := d.Layout
-	var views [numSections]sectionView
-	for i := range views {
+	s.layout, s.baseLayout, s.deltaLayout = d.Layout, bl, d
+	for i := range s.views {
 		if d.Ships(i) {
-			views[i] = sectionView{data: delta, sec: d.Shipped[i]}
+			s.views[i] = sectionView{data: s.delta, sec: d.Shipped[i]}
 		} else {
-			views[i] = sectionView{data: base, sec: bl.Sections[i]}
+			s.views[i] = sectionView{data: s.data, sec: bl.Sections[i]}
 		}
 	}
-	s, err := assembleMapped(layout, views, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.data, s.delta, s.baseLayout, s.deltaLayout = base, delta, bl, d
-	return s, nil
+	return nil
 }
 
-// openStreamDelta is the portable fallback for delta opens: splice the full
-// successor image in memory and run the streaming loader over it.
-func openStreamDelta(basePath, deltaPath string) (*Snapshot, error) {
-	base, err := os.ReadFile(basePath)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	delta, err := os.ReadFile(deltaPath)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	full, err := core.SpliceDelta(base, delta)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	g, idx, err := core.LoadSelfContained(bytes.NewReader(full))
-	if err != nil {
-		return nil, err
-	}
-	s := &Snapshot{idx: idx, g: g}
-	s.refs.Store(1)
-	return s, nil
-}
-
-// openMapped validates the mapped bytes and assembles the zero-copy graph
-// and index.
-func openMapped(data []byte, g *graph.Graph, opts Options) (*Snapshot, error) {
-	layout, err := core.ParseSnapshotLayout(data)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	if opts.VerifyChecksum {
-		if err := layout.VerifyChecksum(data); err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
+// decode hands the section views to core's decoder and finishes the open.
+// Where the decoder copied the sections, nothing aliases the files any more,
+// so decode lets go of them, after checking the CRC that Verify could no
+// longer check. Every failure releases the files.
+func (s *Snapshot) decode(g *graph.Graph, opts Options) (_ *Snapshot, err error) {
+	defer func() {
+		if err != nil || !s.mapped {
+			s.unmap()
 		}
+	}()
+	var secs core.SnapshotSections
+	for i, v := range s.views {
+		secs[i] = v.data[v.sec.Off:v.sec.End()]
 	}
-	var views [numSections]sectionView
-	for i := range views {
-		views[i] = sectionView{data: data, sec: layout.Sections[i]}
-	}
-	s, err := assembleMapped(layout, views, g)
-	if err != nil {
-		return nil, err
-	}
-	s.data = data
-	return s, nil
-}
-
-// assembleMapped builds the zero-copy graph and index from per-section byte
-// views (one file for plain opens, two for delta-backed opens). The caller
-// fills in the mapping fields it owns.
-func assembleMapped(layout *core.SnapshotLayout, views [numSections]sectionView, g *graph.Graph) (*Snapshot, error) {
-	graphMapped := false
-	if g == nil {
-		eg, err := graphFromSections(views, layout)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-		g, graphMapped = eg, true
-	} else if uint64(g.N()) != layout.NNodes || uint64(g.M()) != layout.NumEdges {
-		return nil, fmt.Errorf("snapshot: embedded graph is %d nodes / %d edges but supplied graph is %d / %d",
-			layout.NNodes, layout.NumEdges, g.N(), g.M())
-	}
-	idx, err := core.NewIndexFromSnapshot(g, layout,
-		viewSlice[float64](views[0]),
-		viewSlice[int](views[1]),
-		viewSlice[uint64](views[2]),
-		viewSlice[uint64](views[3]),
-		viewSlice[core.IndexEntry](views[4]),
-	)
+	sg, idx, viewed, err := core.DecodeSnapshot(s.layout, secs, g, mmapAvailable)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	s := &Snapshot{idx: idx, g: g, layout: layout, views: views, mapped: true, graphMapped: graphMapped}
-	s.refs.Store(1)
-	return s, nil
-}
-
-// graphFromSections assembles the embedded graph of a snapshot: the CSR
-// offset and adjacency arrays are zero-copy views over the mapping(s), while
-// the label table (when present) is materialized onto the heap so labels
-// survive the mapping being closed (label strings escape into query
-// responses, where no reference count protects them).
-func graphFromSections(views [numSections]sectionView, l *core.SnapshotLayout) (*graph.Graph, error) {
-	if !l.OutSorted {
-		// Sorting writes the adjacency in place, which a read-only mapping
-		// forbids; Save always sorts before writing, so this only trips on
-		// hand-crafted files.
-		return nil, fmt.Errorf("embedded graph is not sorted by head in-degree")
-	}
-	g, err := graph.FromCSR(
-		viewSlice[int](views[5]),
-		viewSlice[int32](views[6]),
-		viewSlice[int](views[7]),
-		viewSlice[int32](views[8]),
-		true,
-	)
-	if err != nil {
-		return nil, err
-	}
-	if l.HasLabels {
-		labels, err := core.LabelsFromSections(
-			viewSlice[uint64](views[9]),
-			viewSlice[byte](views[10]),
-		)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.SetLabels(labels); err != nil {
+	if opts.VerifyChecksum || !viewed {
+		if err := s.verify(); err != nil {
 			return nil, err
 		}
 	}
-	return g, nil
-}
-
-// viewSlice reinterprets one aligned section view as a []T. The section
-// table guarantees 8-byte alignment and in-bounds extents, and Supported
-// gates the T layouts (4-byte int32, 8-byte int/uint64/float64, 16-byte
-// IndexEntry) this relies on.
-func viewSlice[T any](v sectionView) []T {
-	if v.sec.Len == 0 {
-		return nil
-	}
-	var t T
-	return unsafe.Slice((*T)(unsafe.Pointer(&v.data[v.sec.Off])), v.sec.Len/uint64(unsafe.Sizeof(t)))
-}
-
-// openStream is the portable fallback: parse the file with the streaming
-// loader into heap-allocated slices, reconstructing the graph too when the
-// caller did not supply one.
-func openStream(path string, g *graph.Graph) (*Snapshot, error) {
-	var idx *core.Index
-	var err error
-	if g == nil {
-		g, idx, err = core.LoadSelfContainedFile(path)
-	} else {
-		idx, err = core.LoadIndexFile(path, g)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s := &Snapshot{idx: idx, g: g}
+	s.g, s.idx, s.mapped, s.graphMapped = sg, idx, viewed, viewed && g == nil
 	s.refs.Store(1)
 	return s, nil
 }
@@ -376,8 +212,8 @@ func (s *Snapshot) Graph() (*graph.Graph, error) {
 	return s.g, nil
 }
 
-// Mapped reports whether the index is backed by an mmap region (true) or by
-// heap slices from the streaming fallback (false).
+// Mapped reports whether the index's arrays are views over the file's mmap
+// region (true) or slices the decoder copied onto the heap (false).
 func (s *Snapshot) Mapped() bool { return s.mapped }
 
 // GraphMapped reports whether the graph's adjacency arrays alias the mmap
@@ -415,12 +251,18 @@ func (s *Snapshot) Release() { _ = s.release() }
 
 // release drops one reference and unmaps on the last one. Exactly one caller
 // observes the zero crossing, so the munmap (and the reads of s.data/s.delta,
-// written only at construction) is single-threaded by construction. For
-// delta-backed snapshots both mappings are released.
+// written only at construction) is single-threaded by construction.
 func (s *Snapshot) release() error {
 	if s.refs.Add(-1) != 0 {
 		return nil
 	}
+	return s.unmap()
+}
+
+// unmap releases the file bytes — both mappings for delta-backed opens —
+// and forgets them. It runs on the last reference's release, and during an
+// open that failed or copied the sections, before anyone else holds s.
+func (s *Snapshot) unmap() error {
 	var err error
 	if s.delta != nil {
 		if e := munmapFile(s.delta); e != nil {
@@ -432,13 +274,14 @@ func (s *Snapshot) release() error {
 			err = fmt.Errorf("snapshot: unmapping: %w", e)
 		}
 	}
+	s.data, s.delta, s.views = nil, nil, [numSections]sectionView{}
 	return err
 }
 
 // WarmUp hints the kernel to fault in the sections queries touch first — the
 // index entry slab and, for self-contained snapshots, the graph's adjacency
-// arrays — via madvise(MADV_WILLNEED) (a no-op off Linux and for
-// streaming-backed snapshots). Serving paths call it right after open and
+// arrays — via madvise(MADV_WILLNEED) (a no-op off Linux and for snapshots
+// whose sections were copied onto the heap). Serving paths call it right after open and
 // after a hot swap so the first post-(re)load queries do not eat the
 // page-fault cliff one miss at a time; the readahead proceeds asynchronously
 // while the caller starts serving.
@@ -471,8 +314,8 @@ func (s *Snapshot) WarmUp() {
 // fixed order: "willneed" (page-cache readahead on the hot sections) and
 // "hugepage" (transparent-huge-page backing on the entry slab, issued only
 // when the slab spans at least one aligned 2 MiB region). Empty before the
-// first WarmUp, for streaming-backed snapshots, and off Linux. The returned
-// slice is read-only.
+// first WarmUp, for heap-backed snapshots, and off Linux. The returned slice
+// is read-only.
 func (s *Snapshot) Advices() []string {
 	if p := s.advices.Load(); p != nil {
 		return *p
@@ -481,23 +324,24 @@ func (s *Snapshot) Advices() []string {
 }
 
 // Verify recomputes the CRC-32C of the mapped section payload against the
-// file's trailer, faulting in every page. It returns ErrClosed after Close
-// and nil for streaming-backed snapshots (the streaming loader checksums
-// everything as it parses).
+// file's trailer — both files' trailers for delta-backed opens — faulting in
+// every page. It returns ErrClosed after Close, and nil for a snapshot whose
+// sections were copied onto the heap: that open checked the CRC before it
+// released the bytes.
 func (s *Snapshot) Verify() error {
-	if !s.mapped {
-		if s.closed.Load() {
-			return ErrClosed
-		}
-		return nil
-	}
 	if !s.Retain() {
 		return ErrClosed
 	}
 	defer s.Release()
+	if !s.mapped {
+		return nil
+	}
+	return s.verify()
+}
+
+// verify checks the CRC trailer of every file the snapshot was opened from.
+func (s *Snapshot) verify() error {
 	if s.deltaLayout != nil {
-		// Delta-backed: the serving state spans two files, each carrying its
-		// own trailer; verify both.
 		if err := s.baseLayout.VerifyChecksum(s.data); err != nil {
 			return fmt.Errorf("snapshot: base: %w", err)
 		}
@@ -512,28 +356,15 @@ func (s *Snapshot) Verify() error {
 	return nil
 }
 
-// SizeBytes returns the total size of the mapped file(s) — base plus delta
-// for delta-backed opens — or 0 for a streaming-backed snapshot.
-func (s *Snapshot) SizeBytes() int64 { return int64(len(s.data) + len(s.delta)) }
-
 // Close drops the owner reference. The mapping is unmapped once every
 // outstanding Retain has been Release'd — immediately when none are — so the
 // index (and every result slice aliasing it) must not be used by new work
 // afterwards, while queries that retained the snapshot drain safely. Close is
-// idempotent for both mapped and streaming-backed snapshots; repeated calls
+// idempotent for mapped and heap-backed snapshots alike; repeated calls
 // return nil.
 func (s *Snapshot) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
 	return s.release()
-}
-
-// statSize returns the file's size, shared by the mmap implementations.
-func statSize(f *os.File) (int64, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
 }

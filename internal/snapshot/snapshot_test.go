@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -47,6 +48,13 @@ func query(idx *core.Index, u int) (*core.Result, error) {
 	return res, nil
 }
 
+// hostViews reports whether Open views the mapping in place on this
+// platform: core.DecodeSnapshot views mapped bytes on 64-bit little-endian
+// hosts.
+func hostViews() bool {
+	return mmapAvailable && strconv.IntSize == 64 && binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+}
+
 // mustIndex unwraps Snapshot.Index in tests that know the snapshot is open.
 func mustIndex(t *testing.T, s *Snapshot) *core.Index {
 	t.Helper()
@@ -58,23 +66,17 @@ func mustIndex(t *testing.T, s *Snapshot) *core.Index {
 }
 
 func TestOpenMapped(t *testing.T) {
-	if !Supported() {
-		t.Skip("zero-copy snapshots unsupported on this platform")
-	}
 	g, built, path := buildFixture(t)
 	snap, err := Open(path, g, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer snap.Close()
-	if !snap.Mapped() {
-		t.Fatalf("Open on a supported platform should mmap")
+	if snap.Mapped() != hostViews() {
+		t.Fatalf("Mapped = %v, want %v on this platform", snap.Mapped(), hostViews())
 	}
 	if snap.GraphMapped() {
 		t.Errorf("caller-supplied graph must not report as mapped")
-	}
-	if snap.SizeBytes() == 0 {
-		t.Errorf("mapped snapshot reports zero size")
 	}
 	idx := mustIndex(t, snap)
 	if idx.NumHubs() != built.NumHubs() {
@@ -105,11 +107,9 @@ func TestOpenSelfContained(t *testing.T) {
 	if !sg.OutSortedByInDegree() {
 		t.Errorf("embedded graph must come back sorted by head in-degree")
 	}
-	if Supported() {
-		if !snap.Mapped() || !snap.GraphMapped() {
-			t.Errorf("self-contained open should map graph and index (mapped=%v graphMapped=%v)",
-				snap.Mapped(), snap.GraphMapped())
-		}
+	if snap.Mapped() != hostViews() || snap.GraphMapped() != hostViews() {
+		t.Errorf("self-contained open: mapped=%v graphMapped=%v, want both %v on this platform",
+			snap.Mapped(), snap.GraphMapped(), hostViews())
 	}
 	// The embedded adjacency must match the original exactly (Save sorts
 	// before writing, and the fixture graph is already sorted).
@@ -149,7 +149,7 @@ func TestOpenSelfContained(t *testing.T) {
 }
 
 // TestOpenSelfContainedLabels round-trips the label table through a snapshot,
-// on both the mmap and streaming paths.
+// through Open and through core's heap loader.
 func TestOpenSelfContainedLabels(t *testing.T) {
 	b := graph.NewBuilder()
 	b.AddEdgeLabels("alice", "bob")
@@ -165,34 +165,42 @@ func TestOpenSelfContainedLabels(t *testing.T) {
 	if err := idx.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
-	for _, opts := range []Options{{}, {ForceStream: true}} {
-		snap, err := Open(path, nil, opts)
-		if err != nil {
-			t.Fatalf("Open (ForceStream=%v): %v", opts.ForceStream, err)
-		}
-		sg, err := snap.Graph()
-		if err != nil {
-			t.Fatalf("Graph: %v", err)
-		}
+	requireLabels := func(loader string, sg *graph.Graph) []string {
+		t.Helper()
 		labels := sg.Labels()
 		want := []string{"alice", "bob", "carol", "dave"}
 		if len(labels) != len(want) {
-			t.Fatalf("labels = %v, want %v", labels, want)
+			t.Fatalf("%s: labels = %v, want %v", loader, labels, want)
 		}
 		for i := range want {
 			if labels[i] != want[i] {
-				t.Errorf("label %d = %q, want %q", i, labels[i], want[i])
+				t.Errorf("%s: label %d = %q, want %q", loader, i, labels[i], want[i])
 			}
 		}
-		// Labels must survive Close: they are materialized on the heap, not
-		// views over the mapping.
-		if err := snap.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		if labels[0] != "alice" {
-			t.Errorf("label after Close = %q, want alice", labels[0])
-		}
+		return labels
 	}
+	snap, err := Open(path, nil, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	sg, err := snap.Graph()
+	if err != nil {
+		t.Fatalf("Graph: %v", err)
+	}
+	labels := requireLabels("Open", sg)
+	// Labels must survive Close: they are materialized on the heap, not
+	// views over the mapping.
+	if err := snap.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if labels[0] != "alice" {
+		t.Errorf("label after Close = %q, want alice", labels[0])
+	}
+	hg, _, err := loadSelfContained(path)
+	if err != nil {
+		t.Fatalf("core.LoadSelfContained: %v", err)
+	}
+	requireLabels("core.LoadSelfContained", hg)
 }
 
 // writeFile writes data to a fresh file in a test temp dir.
@@ -205,14 +213,46 @@ func writeFile(t testing.TB, name string, data []byte) string {
 	return path
 }
 
-// backings is both ways Open can back a snapshot: mapped (streaming on
-// platforms without zero-copy support) and forced streaming.
-var backings = []Options{{}, {ForceStream: true}}
+// loadSelfContained reads a saved file with core's heap loader, the
+// reference side of the parity and rejection tests below.
+func loadSelfContained(path string) (*graph.Graph, *core.Index, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	return core.LoadSelfContained(f)
+}
+
+// loaders opens a saved file both ways: Open, and core's heap loader. g may
+// be nil, for a self-contained load. Each returns the index and a release
+// function.
+var loaders = []struct {
+	name string
+	load func(path string, g *graph.Graph) (*core.Index, func(), error)
+}{
+	{"Open", func(path string, g *graph.Graph) (*core.Index, func(), error) {
+		snap, err := Open(path, g, Options{})
+		if err != nil {
+			return nil, nil, err
+		}
+		idx, err := snap.Index()
+		return idx, func() { snap.Close() }, err
+	}},
+	{"core heap loader", func(path string, g *graph.Graph) (*core.Index, func(), error) {
+		if g != nil {
+			idx, err := core.LoadIndexFile(path, g)
+			return idx, func() {}, err
+		}
+		_, idx, err := loadSelfContained(path)
+		return idx, func() {}, err
+	}},
+}
 
 // TestOpenV3 opens a real version-3 file — the fixture's v4 snapshot with
-// its generation block removed — on both backings and requires the v4
-// open's serving state: bit-identical scores and the fresh build's
-// generation stamps.
+// its generation block removed — with Open and with core's heap loader, and
+// requires the v4 open's serving state: bit-identical scores and the fresh
+// build's generation stamps.
 func TestOpenV3(t *testing.T) {
 	_, _, path := buildFixture(t)
 	v4, err := os.ReadFile(path)
@@ -229,23 +269,20 @@ func TestOpenV3(t *testing.T) {
 		t.Fatalf("Open (v4): %v", err)
 	}
 	defer full.Close()
-	for _, opts := range backings {
-		snap, err := Open(v3Path, nil, opts)
+	for _, l := range loaders {
+		idx, release, err := l.load(v3Path, nil)
 		if err != nil {
-			t.Fatalf("Open v3 (ForceStream=%v): %v", opts.ForceStream, err)
-		}
-		if Supported() && snap.Mapped() == opts.ForceStream {
-			t.Errorf("v3 open (ForceStream=%v) reports Mapped=%v", opts.ForceStream, snap.Mapped())
+			t.Fatalf("%s v3: %v", l.name, err)
 		}
 		// The v4 file carries the fresh build's stamps, which the v3 load
 		// must synthesize.
-		requireSameServingState(t, snap, mustIndex(t, full))
-		snap.Close()
+		requireSameServingState(t, idx, mustIndex(t, full))
+		release()
 	}
 }
 
-// TestOpenRejectsUnsupportedVersions pins the version policy on both
-// backings: v1 and v2 files (which never embedded the graph) and unknown
+// TestOpenRejectsUnsupportedVersions pins the version policy for Open and
+// core's heap loader: v1 and v2 files (which never embedded the graph) and unknown
 // versions fail to open, with or without a supplied graph, with an error
 // naming the version.
 func TestOpenRejectsUnsupportedVersions(t *testing.T) {
@@ -259,11 +296,11 @@ func TestOpenRejectsUnsupportedVersions(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[8:], v)
 		bad := writeFile(t, fmt.Sprintf("index.v%d.prsim", v), b)
 		want := fmt.Sprintf("version %d", v)
-		for _, opts := range backings {
+		for _, l := range loaders {
 			for _, sg := range []*graph.Graph{nil, g} {
-				if snap, err := Open(bad, sg, opts); err == nil {
-					snap.Close()
-					t.Errorf("version-%d file opened (ForceStream=%v, graph supplied=%v)", v, opts.ForceStream, sg != nil)
+				if _, release, err := l.load(bad, sg); err == nil {
+					release()
+					t.Errorf("version-%d file opened (%s, graph supplied=%v)", v, l.name, sg != nil)
 				} else if !strings.Contains(err.Error(), want) {
 					t.Errorf("version-%d open error %q does not name %q", v, err, want)
 				}
@@ -298,15 +335,15 @@ func TestOpenRejectsOutOfRangeEntryNode(t *testing.T) {
 		payload := b[layout.Sections[0].Off : len(b)-8]
 		binary.LittleEndian.PutUint64(b[len(b)-8:], uint64(crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))))
 		bad := writeFile(t, "entries.prsim", b)
-		for _, opts := range backings {
-			snap, err := Open(bad, nil, opts)
+		for _, l := range loaders {
+			idx, release, err := l.load(bad, nil)
 			if err == nil {
-				_, qerr := query(mustIndex(t, snap), 0)
-				snap.Close()
-				t.Fatalf("entry ids %#x opened (ForceStream=%v); first query: %v", node, opts.ForceStream, qerr)
+				_, qerr := query(idx, 0)
+				release()
+				t.Fatalf("entry ids %#x opened (%s); first query: %v", node, l.name, qerr)
 			}
 			if !strings.Contains(err.Error(), "names node") {
-				t.Errorf("entry ids %#x (ForceStream=%v): error %q does not name the entry node", node, opts.ForceStream, err)
+				t.Errorf("entry ids %#x (%s): error %q does not name the entry node", node, l.name, err)
 			}
 		}
 	}
@@ -314,19 +351,13 @@ func TestOpenRejectsOutOfRangeEntryNode(t *testing.T) {
 
 // TestMappedQueryParity is the core zero-copy guarantee: for a fixed seed,
 // queries answered off the mmap backing are bit-identical to queries answered
-// off the streaming loader's heap backing.
+// off core's heap loader.
 func TestMappedQueryParity(t *testing.T) {
-	if !Supported() {
-		t.Skip("zero-copy snapshots unsupported on this platform")
-	}
 	g, _, path := buildFixture(t)
 
-	streamed, err := Open(path, g, Options{ForceStream: true})
+	heap, err := core.LoadIndexFile(path, g)
 	if err != nil {
-		t.Fatalf("Open (stream): %v", err)
-	}
-	if streamed.Mapped() {
-		t.Fatalf("ForceStream still mapped")
+		t.Fatalf("core.LoadIndexFile: %v", err)
 	}
 	mapped, err := Open(path, g, Options{})
 	if err != nil {
@@ -335,9 +366,9 @@ func TestMappedQueryParity(t *testing.T) {
 	defer mapped.Close()
 
 	for _, u := range []int{0, 1, 57, 399} {
-		a, err := query(mustIndex(t, streamed), u)
+		a, err := query(heap, u)
 		if err != nil {
-			t.Fatalf("stream query %d: %v", u, err)
+			t.Fatalf("heap query %d: %v", u, err)
 		}
 		b, err := query(mustIndex(t, mapped), u)
 		if err != nil {
@@ -348,7 +379,7 @@ func TestMappedQueryParity(t *testing.T) {
 		}
 		for v, s := range a.Scores {
 			if bs, ok := b.Scores[v]; !ok || math.Float64bits(bs) != math.Float64bits(s) {
-				t.Fatalf("query %d node %d: stream %v (%#x) vs mapped %v (%#x)",
+				t.Fatalf("query %d node %d: heap %v (%#x) vs mapped %v (%#x)",
 					u, v, s, math.Float64bits(s), bs, math.Float64bits(bs))
 			}
 		}
@@ -356,9 +387,6 @@ func TestMappedQueryParity(t *testing.T) {
 }
 
 func TestOpenChecksumMismatch(t *testing.T) {
-	if !Supported() {
-		t.Skip("zero-copy snapshots unsupported on this platform")
-	}
 	g, _, path := buildFixture(t)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -373,18 +401,19 @@ func TestOpenChecksumMismatch(t *testing.T) {
 	if _, err := Open(bad, g, Options{VerifyChecksum: true}); err == nil {
 		t.Fatalf("corrupted payload should fail checksum validation")
 	}
-	// The default open skips the payload CRC for O(header) start; structural
-	// checks may still catch the flip (it can land in an offset array). It
-	// must never panic, and an explicit Verify must flag the corruption.
+	// The default mapped open skips the payload CRC for O(header) start;
+	// structural checks may still catch the flip (it can land in an offset
+	// array). It must never panic, and an explicit Verify must flag the
+	// corruption. An open that copies the sections checks the CRC itself.
 	if snap, err := Open(bad, g, Options{}); err == nil {
 		if verr := snap.Verify(); snap.Mapped() && verr == nil {
 			t.Errorf("Verify accepted a corrupted payload")
 		}
 		snap.Close()
 	}
-	// The streaming loader always checksums the payload as it parses.
-	if _, err := Open(bad, g, Options{ForceStream: true}); err == nil {
-		t.Fatalf("streaming load of corrupted payload should fail")
+	// The heap loader always checksums the payload.
+	if _, err := core.LoadIndexFile(bad, g); err == nil {
+		t.Fatalf("heap load of corrupted payload should fail")
 	}
 }
 
@@ -408,6 +437,56 @@ func TestOpenTruncated(t *testing.T) {
 	}
 }
 
+// hostileCountPrefix is a 408-byte v4 snapshot prefix — header, section
+// table and generation block, no payload — declaring 2^46 nodes and nothing
+// else, with a section table and file size consistent with that count.
+func hostileCountPrefix() []byte {
+	const nodes = 1 << 46
+	b := make([]byte, 408)
+	put := func(slot int, v uint64) { binary.LittleEndian.PutUint64(b[slot*8:], v) }
+	// Section table, slots 16-37: pi, hubOrder, hubLevelPos, entryOffsets,
+	// entrySlab, the four CSR arrays, and the two absent label sections.
+	off := uint64(len(b))
+	for i, n := range []uint64{nodes * 8, 0, 8, 8, 0, (nodes + 1) * 8, 0, (nodes + 1) * 8, 0, 0, 0} {
+		put(16+2*i, off)
+		put(17+2*i, n)
+		off = (off + n + 7) &^ 7
+	}
+	// Header: magic, version, sections start, node count, file size and the
+	// out-sorted flag; options and every other count stay zero.
+	for slot, v := range map[int]uint64{0: 0x5052534d, 1: 4, 2: 408, 3: nodes, 13: off + 8, 14: 1} {
+		put(slot, v)
+	}
+	// Generation block, slots 38-50: lineage, generation 1, and every
+	// section stamped 1.
+	for slot := 38; slot <= 50; slot++ {
+		put(slot, 1)
+	}
+	return b
+}
+
+// TestOpenRejectsHostileNodeCount feeds a payload-free prefix declaring 2^46
+// nodes to every loader. Each must return an error: sizing an allocation from
+// the header before the bytes arrive panics with "cap out of range".
+func TestOpenRejectsHostileNodeCount(t *testing.T) {
+	prefix := hostileCountPrefix()
+	path := writeFile(t, "hostile.prsim", prefix)
+	if _, ok, err := core.ReadSnapshotGens(path); err != nil || !ok {
+		t.Fatalf("prefix is not a well-formed v4 prefix: ok %v, err %v", ok, err)
+	}
+	if snap, err := Open(path, nil, Options{}); err == nil {
+		snap.Close()
+		t.Errorf("Open accepted the prefix")
+	}
+	if _, _, err := core.LoadSelfContained(bytes.NewReader(prefix)); err == nil {
+		t.Errorf("core.LoadSelfContained accepted the prefix")
+	}
+	g := graph.MustFromEdges(2, []graph.Edge{{From: 0, To: 1}})
+	if _, err := core.LoadIndex(bytes.NewReader(prefix), g); err == nil {
+		t.Errorf("core.LoadIndex accepted the prefix")
+	}
+}
+
 func TestOpenMissingFile(t *testing.T) {
 	g, _, _ := buildFixture(t)
 	if _, err := Open(filepath.Join(t.TempDir(), "missing.prsim"), g, Options{}); err == nil {
@@ -415,20 +494,19 @@ func TestOpenMissingFile(t *testing.T) {
 	}
 }
 
-func TestOpenForceStreamParityWithLoadIndex(t *testing.T) {
+// TestOpenParityWithLoadIndex requires Open and core's heap loader to
+// restore the built index's hub set, with the caller's graph.
+func TestOpenParityWithLoadIndex(t *testing.T) {
 	g, built, path := buildFixture(t)
-	snap, err := Open(path, g, Options{ForceStream: true})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if snap.Mapped() {
-		t.Fatalf("ForceStream must not map")
-	}
-	if mustIndex(t, snap).NumHubs() != built.NumHubs() {
-		t.Errorf("hub count mismatch via streaming fallback")
-	}
-	if err := snap.Close(); err != nil {
-		t.Fatalf("Close (stream): %v", err)
+	for _, l := range loaders {
+		idx, release, err := l.load(path, g)
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		if idx.NumHubs() != built.NumHubs() {
+			t.Errorf("%s: %d hubs, built %d", l.name, idx.NumHubs(), built.NumHubs())
+		}
+		release()
 	}
 }
 
@@ -463,48 +541,43 @@ func TestOpenIndexFree(t *testing.T) {
 
 func TestCloseIdempotent(t *testing.T) {
 	g, _, path := buildFixture(t)
-	for _, opts := range []Options{{}, {ForceStream: true}} {
-		snap, err := Open(path, g, opts)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		if err := snap.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		if err := snap.Close(); err != nil {
-			t.Fatalf("second Close: %v", err)
-		}
+	snap, err := Open(path, g, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := snap.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := snap.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 
 // TestClosedHandleFailsLoudly pins the ErrClosed contract: a closed snapshot
-// must refuse to hand out its index, its graph, or a "verified OK" — on the
-// mapped path and the streaming path alike.
+// must refuse to hand out its index, its graph, or a "verified OK".
 func TestClosedHandleFailsLoudly(t *testing.T) {
 	g, _, path := buildFixture(t)
-	for _, opts := range []Options{{}, {ForceStream: true}} {
-		snap, err := Open(path, g, opts)
-		if err != nil {
-			t.Fatalf("Open (ForceStream=%v): %v", opts.ForceStream, err)
-		}
-		if err := snap.Verify(); err != nil {
-			t.Fatalf("Verify while open: %v", err)
-		}
-		if err := snap.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		if _, err := snap.Index(); !errors.Is(err, ErrClosed) {
-			t.Errorf("Index after Close = %v, want ErrClosed (ForceStream=%v)", err, opts.ForceStream)
-		}
-		if _, err := snap.Graph(); !errors.Is(err, ErrClosed) {
-			t.Errorf("Graph after Close = %v, want ErrClosed (ForceStream=%v)", err, opts.ForceStream)
-		}
-		if err := snap.Verify(); !errors.Is(err, ErrClosed) {
-			t.Errorf("Verify after Close = %v, want ErrClosed (ForceStream=%v)", err, opts.ForceStream)
-		}
-		if snap.Retain() {
-			t.Errorf("Retain after Close succeeded (ForceStream=%v)", opts.ForceStream)
-		}
+	snap, err := Open(path, g, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := snap.Verify(); err != nil {
+		t.Fatalf("Verify while open: %v", err)
+	}
+	if err := snap.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := snap.Index(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Index after Close = %v, want ErrClosed", err)
+	}
+	if _, err := snap.Graph(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Graph after Close = %v, want ErrClosed", err)
+	}
+	if err := snap.Verify(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Verify after Close = %v, want ErrClosed", err)
+	}
+	if snap.Retain() {
+		t.Errorf("Retain after Close succeeded")
 	}
 }
 
@@ -513,9 +586,6 @@ func TestClosedHandleFailsLoudly(t *testing.T) {
 // unmap happens only when the last reference is released. (Run under -race
 // in CI; touching unmapped memory would fault outright.)
 func TestCloseDefersUnmapUntilRelease(t *testing.T) {
-	if !Supported() {
-		t.Skip("zero-copy snapshots unsupported on this platform")
-	}
 	g, _, path := buildFixture(t)
 	snap, err := Open(path, g, Options{})
 	if err != nil {
@@ -557,9 +627,9 @@ func TestCloseDefersUnmapUntilRelease(t *testing.T) {
 	}
 }
 
-// TestWarmUp exercises the madvise warmup hint on every backing: mapped
-// snapshots (with and without an embedded graph), streaming-backed snapshots
-// (no-op), and closed snapshots (must not fault or retain). The hint has no
+// TestWarmUp exercises the madvise warmup hint on snapshots with and without
+// an embedded graph (a no-op where the sections were copied onto the heap),
+// and on closed snapshots (must not fault or retain). The hint has no
 // observable result beyond not crashing and not breaking queries, so the
 // test pins exactly that.
 func TestWarmUp(t *testing.T) {
@@ -570,7 +640,6 @@ func TestWarmUp(t *testing.T) {
 	}{
 		{"mapped with graph", func() (*Snapshot, error) { return Open(path, g, Options{}) }},
 		{"self-contained", func() (*Snapshot, error) { return Open(path, nil, Options{}) }},
-		{"streaming", func() (*Snapshot, error) { return Open(path, g, Options{ForceStream: true}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap, err := tc.open()
@@ -590,14 +659,11 @@ func TestWarmUp(t *testing.T) {
 	}
 }
 
-// FuzzOpenMapped asserts the zero-copy opener returns clean errors — never
-// panics — on arbitrary file contents: each input either fails to open or
-// yields an index that answers Query(0). Inputs go through a real file and
-// mapping, because Close unmaps what Open mapped.
+// FuzzOpenMapped asserts Open returns clean errors — never panics — on
+// arbitrary file contents: each input either fails to open or yields an
+// index that answers Query(0). Inputs go through a real file and mapping,
+// because Close unmaps what Open mapped.
 func FuzzOpenMapped(f *testing.F) {
-	if !Supported() {
-		f.Skip("zero-copy snapshots unsupported on this platform")
-	}
 	// A small index with hubs keeps each input cheap to write, map and query,
 	// so the fuzzer spends its time on mutations rather than I/O.
 	g, err := gen.PowerLaw(gen.PowerLawOptions{N: 60, AvgDegree: 4, Gamma: 2.5, Directed: true, Seed: 7})

@@ -343,11 +343,12 @@ func LoadIndexFile(path string, g *Graph) (*Index, error) {
 // same mapping, so no edge-list file is needed at all. A supplied g is
 // cross-checked against the embedded graph's shape and then used for queries.
 //
-// On platforms without zero-copy support it transparently falls back to the
-// streaming loader; Backing and GraphBacking
-// report which path was taken. A snapshot-backed index must be released with
-// Close when no longer needed; Close defers the unmap until queries served
-// through a Registry have drained.
+// The views need a 64-bit little-endian host with mmap. Elsewhere the same
+// decoder copies every section onto the heap, as LoadIndexFile does, and
+// checks the payload CRC while it still has the bytes; Backing and
+// GraphBacking report which happened. A snapshot-backed index must be
+// released with Close when no longer needed; Close defers the unmap until
+// queries served through a Registry have drained.
 //
 // OpenSnapshot always validates the structural invariants that queries rely
 // on for memory safety (including the embedded graph's CSR bounds and the
@@ -398,8 +399,8 @@ func (idx *Index) Advices() []string {
 
 // Verify checks the integrity of an index opened with OpenSnapshot by
 // recomputing the snapshot's CRC-32C over the mapped payload. It is a no-op
-// (always nil) for heap-backed indexes: BuildIndex output is trusted and the
-// streaming loader checksums while parsing.
+// (always nil) for heap-backed indexes: BuildIndex output is trusted, and
+// every load that copies a snapshot onto the heap checks the CRC first.
 func (idx *Index) Verify() error {
 	if idx.snap == nil {
 		return nil
@@ -408,8 +409,9 @@ func (idx *Index) Verify() error {
 }
 
 // Backing reports what backs the index's arrays: "mmap" for a zero-copy
-// snapshot opened with OpenSnapshot, "heap" for indexes built in memory or
-// loaded by the streaming loader.
+// snapshot opened with OpenSnapshot or OpenSnapshotDelta, "heap" for indexes
+// built in memory, loaded with LoadIndex, or opened on a host where the
+// snapshot decoder copies the sections.
 func (idx *Index) Backing() string {
 	if idx.snap != nil && idx.snap.Mapped() {
 		return "mmap"
@@ -419,7 +421,8 @@ func (idx *Index) Backing() string {
 
 // GraphBacking reports what backs the graph's adjacency arrays: "mmap" when
 // they are zero-copy views over a self-contained snapshot's mapping, "heap"
-// otherwise (built, parsed, streamed, or supplied separately).
+// otherwise (built, parsed, copied out of a snapshot, or supplied
+// separately).
 func (idx *Index) GraphBacking() string {
 	if idx.snap != nil && idx.snap.GraphMapped() {
 		return "mmap"
