@@ -9,6 +9,8 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"prsim/internal/pagerank"
 )
 
 // TestQueryIntoSteadyStateAllocs pins the recycled-scratch guarantee: once
@@ -81,5 +83,43 @@ func TestQueryParallelSteadyStateAllocs(t *testing.T) {
 	// blow well past it.
 	if allocs > 16 {
 		t.Errorf("steady-state parallel query performed %.1f allocs, want just the goroutine spawns (chunk pooling has rotted)", allocs)
+	}
+}
+
+// TestHubSearchSteadyStateAllocs pins the build's reusable search state: once
+// a worker's scratch has grown to the graph and its deepest search, one hub
+// search allocates only its output slices — the search result with its
+// reserve slab and level index, then the entries, their level index, the
+// activation ids and their masses — however many levels and pushes it runs.
+// A regression that allocates per level or per push (maps, per-level sorts,
+// buffers grown afresh) multiplies with those counts and fails loudly.
+func TestHubSearchSteadyStateAllocs(t *testing.T) {
+	g := largerTestGraph(2000, 6, 13)
+	opts, err := Options{Epsilon: 0.1}.fill()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmax := opts.rmax()
+	pi, err := pagerank.ReversePageRank(g, pagerank.Options{C: opts.C})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := pagerank.RankNodesByScore(pi)[0]
+	var s hubSearch
+	levels, _, _, pushes, err := s.searchHubLevels(g, hub, opts, rmax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(levels) < 8 || pushes < 5000 {
+		t.Fatalf("search ran %d levels and %d pushes; the test needs a deep, wide search", len(levels), pushes)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, _, _, err := s.searchHubLevels(g, hub, opts, rmax); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const outputs = 7
+	if allocs > outputs {
+		t.Errorf("a hub search on warm scratch performed %.1f allocs, want at most its %d output slices (%d levels, %d pushes)", allocs, outputs, len(levels), pushes)
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,6 +153,11 @@ func buildIndex(g *graph.Graph, opts Options, forcedHubs []int) (*Index, error) 
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
+	// The build reads the CSR arrays, which do not hold journaled updates;
+	// ApplyUpdates is the path for a mutated graph.
+	if g.HasOverlay() {
+		return nil, fmt.Errorf("core: graph has %d pending edge updates; compact it first", g.PendingUpdates())
+	}
 	start := time.Now()
 	if !g.OutSortedByInDegree() {
 		g.SortOutByInDegree()
@@ -221,6 +226,15 @@ func buildIndex(g *graph.Graph, opts Options, forcedHubs []int) (*Index, error) 
 	return idx, nil
 }
 
+// hubSearch is one worker's reusable search state: the backward-search
+// scratch plus a dense per-node reserve total and an activated-node bitset,
+// all left zeroed between hubs.
+type hubSearch struct {
+	scratch   pagerank.BackwardScratch
+	mass      []float64
+	activated []uint64
+}
+
 // searchHubLevels runs the backward search from hub w and converts the result
 // into the trimmed, node-sorted per-level entry lists the flat slab stores. It
 // also returns the hub's activation set: every node the search converted
@@ -231,30 +245,55 @@ func buildIndex(g *graph.Graph, opts Options, forcedHubs []int) (*Index, error) 
 // decide whether the hub's entries survive an update verbatim — and the
 // per-node reserve bounds how much the entries can move when a drift budget
 // lets a weakly-perturbed hub skip recomputation.
-func searchHubLevels(g *graph.Graph, w int, opts Options, rmax float64) ([][]IndexEntry, []int32, []float32, int, error) {
-	res, err := pagerank.BackwardSearch(g, w, opts.C, rmax, opts.MaxLevels)
+func (s *hubSearch) searchHubLevels(g *graph.Graph, w int, opts Options, rmax float64) ([][]IndexEntry, []int32, []float32, int, error) {
+	res, err := s.scratch.Search(g, w, opts.C, rmax, opts.MaxLevels)
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("core: backward search from hub %d: %w", w, err)
 	}
+	if n := g.N(); len(s.mass) < n {
+		s.mass = make([]float64, n)
+		s.activated = make([]uint64, (n+63)/64)
+	}
+	// Each node's reserves are summed in level order, as the activation
+	// masses always have been.
+	stored, activated := 0, 0
+	for _, lvl := range res.Reserves {
+		for _, e := range lvl {
+			if e.Value > rmax {
+				stored++
+			}
+			word, bit := e.Node>>6, uint64(1)<<(e.Node&63)
+			if s.activated[word]&bit == 0 {
+				s.activated[word] |= bit
+				activated++
+			}
+			s.mass[e.Node] += e.Value
+		}
+	}
+	entries := make([]IndexEntry, 0, stored)
 	levels := make([][]IndexEntry, len(res.Reserves))
-	actSet := make(map[int32]float64)
 	for l, lvl := range res.Reserves {
-		for v, psi := range lvl {
-			actSet[int32(v)] += psi
-			if psi > rmax {
-				levels[l] = append(levels[l], IndexEntry{Node: int32(v), Reserve: psi})
+		first := len(entries)
+		for _, e := range lvl {
+			if e.Value > rmax {
+				entries = append(entries, IndexEntry{Node: e.Node, Reserve: e.Value})
 			}
 		}
-		sort.Slice(levels[l], func(a, b int) bool { return levels[l][a].Node < levels[l][b].Node })
+		levels[l] = entries[first:len(entries):len(entries)]
 	}
-	acts := make([]int32, 0, len(actSet))
-	for v := range actSet {
-		acts = append(acts, v)
-	}
-	sort.Slice(acts, func(a, b int) bool { return acts[a] < acts[b] })
-	mass := make([]float32, len(acts))
-	for i, v := range acts {
-		mass[i] = float32(actSet[v])
+	acts := make([]int32, 0, activated)
+	mass := make([]float32, 0, activated)
+	for wi, word := range s.activated {
+		if word == 0 {
+			continue
+		}
+		s.activated[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			v := wi<<6 | bits.TrailingZeros64(word)
+			acts = append(acts, int32(v))
+			mass = append(mass, float32(s.mass[v]))
+			s.mass[v] = 0
+		}
 	}
 	return levels, acts, mass, res.Pushes, nil
 }
@@ -301,13 +340,14 @@ func runHubSearches(g *graph.Graph, opts Options, hubOrder []int, need func(rank
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var s hubSearch
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= len(work) {
 					return
 				}
 				rank := work[i]
-				levels, a, m, p, err := searchHubLevels(g, hubOrder[rank], opts, rmax)
+				levels, a, m, p, err := s.searchHubLevels(g, hubOrder[rank], opts, rmax)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {

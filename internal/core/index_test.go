@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"sort"
 	"testing"
 
+	"prsim/internal/gen"
 	"prsim/internal/graph"
 	"prsim/internal/pagerank"
 )
@@ -211,4 +216,173 @@ func largerTestGraph(n, degree int, seed uint64) *graph.Graph {
 		}
 	}
 	return b.MustBuild()
+}
+
+// TestBuildIndexRejectsPendingOverlay pins that a graph with journaled edge
+// updates is refused before any build work: the build reads the CSR arrays,
+// which do not hold the updates, and it used to panic only after reverse
+// PageRank and every hub search had run. Both a graph already sorted by head
+// in-degree and an unsorted one are refused, and neither is touched.
+func TestBuildIndexRejectsPendingOverlay(t *testing.T) {
+	sorted := largerTestGraph(400, 4, 7)
+	var edges []graph.Edge
+	sorted.Edges(func(u, v int) bool {
+		edges = append(edges, graph.Edge{From: u, To: v})
+		return true
+	})
+	unsorted := graph.MustFromEdges(sorted.N(), edges)
+	for _, g := range []*graph.Graph{sorted, unsorted} {
+		wasSorted := g.OutSortedByInDegree()
+		if err := g.ApplyUpdates([]graph.EdgeUpdate{{From: 3, To: 250}}); err != nil {
+			t.Fatalf("ApplyUpdates: %v", err)
+		}
+		if _, err := BuildIndex(g, Options{Epsilon: 0.2}); err == nil {
+			t.Errorf("BuildIndex on a graph with a pending overlay (sorted %v) should be an error", wasSorted)
+		}
+		if !g.HasOverlay() || g.OutSortedByInDegree() != wasSorted {
+			t.Errorf("the refused build changed the graph (sorted %v)", wasSorted)
+		}
+	}
+}
+
+// referenceHubLevels is the conversion searchHubLevels replaced: it reads
+// each level as a map, sums the activation masses in a map and orders the
+// entries and the activation ids with sort.Slice.
+func referenceHubLevels(res *pagerank.BackwardResult, rmax float64) ([][]IndexEntry, []int32, []float32) {
+	levels := make([][]IndexEntry, len(res.Reserves))
+	actSet := make(map[int32]float64)
+	for l, reserves := range res.Reserves {
+		lvl := make(map[int]float64, len(reserves))
+		for _, e := range reserves {
+			lvl[int(e.Node)] = e.Value
+		}
+		for v, psi := range lvl {
+			actSet[int32(v)] += psi
+			if psi > rmax {
+				levels[l] = append(levels[l], IndexEntry{Node: int32(v), Reserve: psi})
+			}
+		}
+		sort.Slice(levels[l], func(a, b int) bool { return levels[l][a].Node < levels[l][b].Node })
+	}
+	acts := make([]int32, 0, len(actSet))
+	for v := range actSet {
+		acts = append(acts, v)
+	}
+	sort.Slice(acts, func(a, b int) bool { return acts[a] < acts[b] })
+	mass := make([]float32, len(acts))
+	for i, v := range acts {
+		mass[i] = float32(actSet[v])
+	}
+	return levels, acts, mass
+}
+
+// TestSearchHubLevelsMatchesReference pins the dense conversion of a hub's
+// search to the map-based one: the same levels (empty ones included), the
+// same entries with the same reserve bits, the same activation ids and the
+// same float32 masses, from one reused search state across hubs and graphs.
+func TestSearchHubLevelsMatchesReference(t *testing.T) {
+	pl := func(gamma float64, seed uint64) *graph.Graph {
+		g, err := gen.PowerLaw(gen.PowerLawOptions{N: 1500, AvgDegree: 6, Gamma: gamma, Directed: true, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	er, err := gen.ErdosRenyi(gen.EROptions{N: 1000, AvgDegree: 5, Directed: true, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s hubSearch
+	for _, g := range []*graph.Graph{pl(1.2, 7), pl(2.5, 8), er} {
+		for _, eps := range []float64{0.05, 0.2} {
+			opts, err := Options{Epsilon: eps}.fill()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rmax := opts.rmax()
+			pi, err := pagerank.ReversePageRank(g, pagerank.Options{C: opts.C})
+			if err != nil {
+				t.Fatal(err)
+			}
+			order := pagerank.RankNodesByScore(pi)
+			for _, w := range []int{order[0], order[1], order[2], order[len(order)/3]} {
+				res, err := new(pagerank.BackwardScratch).Search(g, w, opts.C, rmax, opts.MaxLevels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantLevels, wantActs, wantMass := referenceHubLevels(res, rmax)
+				levels, acts, mass, pushes, err := s.searchHubLevels(g, w, opts, rmax)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pushes != res.Pushes {
+					t.Errorf("n=%d eps=%v hub %d: %d pushes, reference %d", g.N(), eps, w, pushes, res.Pushes)
+				}
+				if len(levels) != len(wantLevels) {
+					t.Fatalf("n=%d eps=%v hub %d: %d levels, reference %d", g.N(), eps, w, len(levels), len(wantLevels))
+				}
+				for l := range levels {
+					if len(levels[l]) != len(wantLevels[l]) {
+						t.Fatalf("n=%d eps=%v hub %d level %d: %d entries, reference %d", g.N(), eps, w, l, len(levels[l]), len(wantLevels[l]))
+					}
+					for i, e := range levels[l] {
+						if want := wantLevels[l][i]; e.Node != want.Node || math.Float64bits(e.Reserve) != math.Float64bits(want.Reserve) {
+							t.Fatalf("n=%d eps=%v hub %d level %d entry %d: %+v, reference %+v", g.N(), eps, w, l, i, e, want)
+						}
+					}
+				}
+				if len(acts) != len(wantActs) || len(mass) != len(acts) {
+					t.Fatalf("n=%d eps=%v hub %d: %d activation ids and %d masses, reference %d", g.N(), eps, w, len(acts), len(mass), len(wantActs))
+				}
+				for i := range acts {
+					if acts[i] != wantActs[i] || math.Float32bits(mass[i]) != math.Float32bits(wantMass[i]) {
+						t.Fatalf("n=%d eps=%v hub %d activation %d: (%d, %v), reference (%d, %v)", g.N(), eps, w, i, acts[i], mass[i], wantActs[i], wantMass[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildSnapshotDigests pins the bytes a build saves: indexes built from
+// three fixed generated graphs must hash to the SHA-256 digests recorded
+// while the backward search still ran on maps, at Parallelism 1, 2 and 4, so
+// a change to the search's scratch, its visiting order or the per-worker
+// state shows as a digest mismatch, on 32-bit hosts too.
+func TestBuildSnapshotDigests(t *testing.T) {
+	cases := []struct {
+		name string
+		g    func() (*graph.Graph, error)
+		want string
+	}{
+		{"powerlaw-2.5", func() (*graph.Graph, error) {
+			return gen.PowerLaw(gen.PowerLawOptions{N: 3000, AvgDegree: 8, Gamma: 2.5, Directed: true, Seed: 21})
+		}, "f02bf3eadf228f88e0da79438145b551849a8097981dbbf80c13905bf8fd2337"},
+		{"powerlaw-1.2", func() (*graph.Graph, error) {
+			return gen.PowerLaw(gen.PowerLawOptions{N: 2000, AvgDegree: 6, Gamma: 1.2, Directed: true, Seed: 22})
+		}, "01734e584b7d18b79792a52e71e2dc593ea0e90c87184f09c438f55e8edeac72"},
+		{"erdos-renyi", func() (*graph.Graph, error) {
+			return gen.ErdosRenyi(gen.EROptions{N: 2000, AvgDegree: 6, Directed: true, Seed: 23})
+		}, "8f5a62510e7c288f2490f55066845bd15df9f84625adcb7b1f39fc3407d75b66"},
+	}
+	for _, tc := range cases {
+		for _, p := range []int{1, 2, 4} {
+			g, err := tc.g()
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			idx, err := BuildIndex(g, Options{Epsilon: 0.1, NumHubs: -1, Seed: 5, Parallelism: p})
+			if err != nil {
+				t.Fatalf("%s: BuildIndex: %v", tc.name, err)
+			}
+			var buf bytes.Buffer
+			if err := idx.Save(&buf); err != nil {
+				t.Fatalf("%s: Save: %v", tc.name, err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("%s at Parallelism %d: snapshot SHA-256 %s, want %s", tc.name, p, got, tc.want)
+			}
+		}
+	}
 }

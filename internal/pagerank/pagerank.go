@@ -48,6 +48,9 @@ func ReversePageRank(g *graph.Graph, opts Options) ([]float64, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
+	if err := checkNoOverlay(g); err != nil {
+		return nil, err
+	}
 	n := g.N()
 	pi := make([]float64, n)
 	if n == 0 {
@@ -74,6 +77,9 @@ func ReversePPR(g *graph.Graph, u int, opts Options) ([]float64, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
+	if err := checkNoOverlay(g); err != nil {
+		return nil, err
+	}
 	ppr := make([]float64, g.N())
 	mass := make([]float64, g.N())
 	mass[u] = 1
@@ -97,6 +103,9 @@ func LHopRPPR(g *graph.Graph, u int, maxLevel int, opts Options) ([][]float64, e
 	if maxLevel < 0 {
 		return nil, fmt.Errorf("pagerank: negative maxLevel %d", maxLevel)
 	}
+	if err := checkNoOverlay(g); err != nil {
+		return nil, err
+	}
 	opts.MaxLevels = maxLevel + 1
 	opts.Tolerance = 0 // run all requested levels
 	levels := make([][]float64, maxLevel+1)
@@ -118,9 +127,12 @@ func LHopRPPR(g *graph.Graph, u int, maxLevel int, opts Options) ([][]float64, e
 // iterateTermination runs the √c-walk mass propagation starting from the given
 // source mass. At every level it reports the termination mass per node
 // ((1-√c) times the alive mass) via emit, then moves the surviving √c fraction
-// of each node's mass to that node's in-neighbors (uniformly).
+// of each node's mass to that node's in-neighbors (uniformly). It reads the
+// in-adjacency CSR arrays directly, so callers reject graphs with a pending
+// overlay first.
 func iterateTermination(g *graph.Graph, opts Options, mass []float64, emit func(level int, term []float64)) {
 	n := g.N()
+	_, _, inOff, inAdj := g.CSR()
 	alpha := 1 - math.Sqrt(opts.C)
 	sqrtC := math.Sqrt(opts.C)
 	term := make([]float64, n)
@@ -135,19 +147,14 @@ func iterateTermination(g *graph.Graph, opts Options, mass []float64, emit func(
 		if total < opts.Tolerance {
 			return
 		}
-		for v := range next {
-			next[v] = 0
-		}
-		for x := 0; x < n; x++ {
-			if mass[x] == 0 {
-				continue
+		clear(next)
+		for x, mx := range mass[:n] {
+			lo, hi := inOff[x], inOff[x+1]
+			if mx == 0 || lo == hi {
+				continue // no mass, or the walk dies and its mass is lost
 			}
-			in := g.InNeighbors(x)
-			if len(in) == 0 {
-				continue // walk dies; mass lost
-			}
-			share := sqrtC * mass[x] / float64(len(in))
-			for _, y := range in {
+			share := sqrtC * mx / float64(hi-lo)
+			for _, y := range inAdj[lo:hi] {
 				next[y] += share
 			}
 		}

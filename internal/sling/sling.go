@@ -165,21 +165,22 @@ func BuildIndex(g *graph.Graph, opts Options) (*Index, error) {
 	// store threshold for h > ε_a is ψ > ε_a(1-√c).
 	alpha := 1 - math.Sqrt(opts.C)
 	rmax := opts.EpsilonA * alpha
+	var scratch pagerank.BackwardScratch
 	for w := 0; w < g.N(); w++ {
-		res, err := pagerank.BackwardSearch(g, w, opts.C, rmax, opts.MaxLevels)
+		res, err := scratch.Search(g, w, opts.C, rmax, opts.MaxLevels)
 		if err != nil {
 			return nil, fmt.Errorf("sling: backward search from %d: %w", w, err)
 		}
 		idx.stats.Pushes += res.Pushes
 		for level, lvl := range res.Reserves {
-			for v, psi := range lvl {
-				h := psi / alpha
+			for _, e := range lvl {
+				h := e.Value / alpha
 				if h <= opts.EpsilonA {
 					continue
 				}
-				idx.bySource[v] = append(idx.bySource[v], sourceEntry{Target: int32(w), Level: int32(level), H: h})
+				idx.bySource[e.Node] = append(idx.bySource[e.Node], sourceEntry{Target: int32(w), Level: int32(level), H: h})
 				key := targetKey{Target: int32(w), Level: int32(level)}
-				idx.byTarget[key] = append(idx.byTarget[key], nodeValue{Node: int32(v), H: h})
+				idx.byTarget[key] = append(idx.byTarget[key], nodeValue{Node: e.Node, H: h})
 				idx.stats.Entries++
 			}
 		}
