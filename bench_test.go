@@ -1,8 +1,9 @@
 package prsim
 
 // This file holds the benchmark harness that regenerates every table and
-// figure of the paper's evaluation section (see EXPERIMENTS.md for the
-// mapping and DESIGN.md §4 for the experiment index). Each BenchmarkFigure*
+// figure of the paper's evaluation section (README "Commands" lists the
+// prsimbench experiments; "Tests and benchmarks" the commands that run
+// them). Each BenchmarkFigure*
 // runs the corresponding experiment once per iteration through the quick
 // configuration used by cmd/prsimbench; the micro-benchmarks below measure
 // the individual building blocks (index construction, queries, backward

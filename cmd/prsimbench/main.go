@@ -1,7 +1,7 @@
 // Command prsimbench regenerates the tables and figures of the PRSim paper's
 // evaluation section on the synthetic dataset stand-ins. Each experiment
-// prints the series the corresponding figure plots; see EXPERIMENTS.md for the
-// mapping and for paper-vs-measured notes.
+// prints the series the corresponding figure plots; README "Commands" and
+// "Tests and benchmarks" list the experiments and how to run them.
 //
 // Usage:
 //

@@ -822,26 +822,32 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, payload)
 }
 
-// renderResult flattens a result into descending-score order, source first
-// (its self-similarity is 1, the maximum), keeping at most limit nodes when
-// limit > 0. Results may be shared with concurrent requests through the
-// engine's cache, so this reads the result without mutating it.
+// renderResult flattens a result into descending-score order, ties broken
+// by ascending node id, keeping at most limit nodes when limit > 0. The
+// other nodes come from Result.TopK's bounded heap, so a small limit does
+// not sort the whole support; the source is then placed by the same order.
+// Results may be shared with concurrent requests through the engine's
+// cache, so this reads the result without mutating it.
 func renderResult(res *prsim.Result, limit int) queryResultJSON {
 	scores := res.Scores()
-	nodes := make([]scoredNodeJSON, 0, len(scores))
-	for v, sc := range scores {
-		nodes = append(nodes, scoredNodeJSON{Node: v, Score: sc})
+	k := len(scores)
+	if limit > 0 && limit < k {
+		k = limit
 	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Score != nodes[j].Score {
-			return nodes[i].Score > nodes[j].Score
+	src := res.Source()
+	srcScore, placeSrc := scores[src]
+	nodes := make([]scoredNodeJSON, 0, k+1)
+	for _, t := range res.TopK(k) {
+		if placeSrc && (srcScore > t.Score || srcScore == t.Score && src < t.Node) {
+			nodes = append(nodes, scoredNodeJSON{Node: src, Score: srcScore})
+			placeSrc = false
 		}
-		return nodes[i].Node < nodes[j].Node
-	})
-	if limit > 0 && len(nodes) > limit {
-		nodes = nodes[:limit]
+		nodes = append(nodes, scoredNodeJSON{Node: t.Node, Score: t.Score})
 	}
-	return queryResultJSON{Source: res.Source(), Support: len(scores), Scores: nodes}
+	if placeSrc {
+		nodes = append(nodes, scoredNodeJSON{Node: src, Score: srcScore})
+	}
+	return queryResultJSON{Source: src, Support: len(scores), Scores: nodes[:min(len(nodes), k)]}
 }
 
 func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -564,6 +565,76 @@ func TestServeWatchReload(t *testing.T) {
 func TestWatchRequiresLoadIndex(t *testing.T) {
 	if _, err := buildServer(config{dataset: "DB", watch: time.Second}); err == nil {
 		t.Fatal("expected -watch without -loadindex to fail")
+	}
+}
+
+// sortedRender is the full-sort rendering renderResult replaced: every score
+// sorted by descending score, ties by ascending node id, then cut to limit.
+func sortedRender(res *prsim.Result, limit int) queryResultJSON {
+	scores := res.Scores()
+	nodes := make([]scoredNodeJSON, 0, len(scores))
+	for v, sc := range scores {
+		nodes = append(nodes, scoredNodeJSON{Node: v, Score: sc})
+	}
+	sort.Slice(nodes, func(i, j int) bool {
+		if nodes[i].Score != nodes[j].Score {
+			return nodes[i].Score > nodes[j].Score
+		}
+		return nodes[i].Node < nodes[j].Node
+	})
+	if limit > 0 && len(nodes) > limit {
+		nodes = nodes[:limit]
+	}
+	return queryResultJSON{Source: res.Source(), Support: len(scores), Scores: nodes}
+}
+
+// TestRenderResultMatchesFullSort pins renderResult's bounded selection to
+// the full sort it replaced. Query scores rarely tie, so each result's own
+// score map is rewritten to a few values — ties among the other nodes, ties
+// with the source's 1 on both sides of its id, and scores above it — and
+// every limit from 0 (everything) through 1 to past the support must render
+// the same JSON bytes.
+func TestRenderResultMatchesFullSort(t *testing.T) {
+	g, err := prsim.GeneratePowerLawGraph(300, 6, 2.5, true, 5)
+	if err != nil {
+		t.Fatalf("GeneratePowerLawGraph: %v", err)
+	}
+	idx, err := prsim.BuildIndex(g, prsim.Options{Epsilon: 0.25, Seed: 3, SampleScale: 0.05})
+	if err != nil {
+		t.Fatalf("BuildIndex: %v", err)
+	}
+	tiers := []float64{0.25, 1, 0.5, 0.25, 1.5, 0.125, 1}
+	for u := 0; u < 300; u += 15 {
+		resp, err := idx.Do(context.Background(), prsim.Request{Source: u})
+		if err != nil {
+			t.Fatalf("Do(%d): %v", u, err)
+		}
+		res := resp.Result
+		scores := res.Scores() // this uncached result's own map
+		i := 0
+		for v := range g.NumNodes() {
+			if _, ok := scores[v]; ok && v != u {
+				scores[v] = tiers[i%len(tiers)]
+				i++
+			}
+		}
+		support := len(scores)
+		for _, limit := range []int{0, 1, 2, support / 2, support - 1, support, support + 3} {
+			if limit < 0 {
+				continue
+			}
+			got, err := json.Marshal(renderResult(res, limit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(sortedRender(res, limit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("source %d limit %d (support %d): rendered\n%s\nwant\n%s", u, limit, support, got, want)
+			}
+		}
 	}
 }
 

@@ -164,16 +164,17 @@ func windowEnd(R, minR, fr int) int {
 // rows (whose values the sort moved) wholesale.
 func (s *queryState) medianConcentrated(R int, target float64) bool {
 	mat := s.unionRounds(R)
+	u := &s.union
 	for i, nodes := range s.roundNodes[:R] {
 		vals := s.roundVals[i]
-		for j, v32 := range nodes {
-			mat[int(s.uid[v32])*R+i] = vals[j]
+		for j, v := range nodes {
+			mat[u.at(v)*R+i] = vals[j]
 		}
 	}
 	allowed := int(adaptiveDeviationFrac * float64(R))
 	ok := true
 	s.sortedRows = s.sortedRows[:0]
-	for ui := range s.unionNodes {
+	for ui := range u.nodes {
 		row := mat[ui*R : (ui+1)*R]
 		if slices.Max(row)-slices.Min(row) <= target {
 			continue
@@ -192,8 +193,8 @@ func (s *queryState) medianConcentrated(R int, target float64) bool {
 		}
 	}
 	for i, nodes := range s.roundNodes[:R] {
-		for _, v32 := range nodes {
-			mat[int(s.uid[v32])*R+i] = 0
+		for _, v := range nodes {
+			mat[u.at(v)*R+i] = 0
 		}
 	}
 	for _, ui := range s.sortedRows {

@@ -10,15 +10,16 @@ import (
 	"runtime"
 	"testing"
 
+	"prsim/internal/gen"
 	"prsim/internal/pagerank"
 )
 
 // TestQueryIntoSteadyStateAllocs pins the recycled-scratch guarantee: once
 // the per-index free list and the caller's reused Result have warmed up, a
 // QueryIntoOpts call performs (approximately) zero heap allocations — the
-// walkers, dense accumulators, median workspace, chunk results and batch
-// buffers are all recycled, and the score map is cleared in place rather than
-// reallocated. A couple of allocations of slack absorb runtime noise, but a
+// walkers, sparse accumulators (grown to the query's supports), median
+// workspace, chunk results and batch buffers are all recycled, and the score
+// map is cleared in place rather than reallocated. A couple of allocations of slack absorb runtime noise, but a
 // regression that reintroduces per-query maps, sorts with allocating
 // comparators, or fresh walk buffers shows up as dozens of allocations and
 // fails loudly.
@@ -122,4 +123,53 @@ func TestHubSearchSteadyStateAllocs(t *testing.T) {
 	if allocs > outputs {
 		t.Errorf("a hub search on warm scratch performed %.1f allocs, want at most its %d output slices (%d levels, %d pushes)", allocs, outputs, len(levels), pushes)
 	}
+}
+
+// TestQueryStateSizedToWork pins that no per-query scratch is sized to the
+// graph: on a sparse 200k-node graph, creating a query state allocates under
+// 64 KiB, and its first query — walks, backward walks, the median pass, the
+// index read and the result map — allocates under 8 bytes per node, half of
+// what the backward walk's two frontiers alone would cost as dense arrays.
+// The walk tables are per index and built before measuring.
+func TestQueryStateSizedToWork(t *testing.T) {
+	g, err := gen.ErdosRenyi(gen.EROptions{N: 200000, AvgDegree: 2, Directed: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := BuildIndex(g, Options{Epsilon: 0.5, NumHubs: 4, Seed: 1})
+	if err != nil {
+		t.Fatalf("BuildIndex: %v", err)
+	}
+	ctx := context.Background()
+	var res Result
+	if err := idx.QueryIntoOpts(ctx, 1, &res, QueryOptions{}); err != nil {
+		t.Fatalf("warm-up QueryIntoOpts: %v", err)
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var s *queryState
+	fresh := allocated(func() { s = newQueryState(idx) })
+	if fresh > 64<<10 {
+		t.Errorf("a fresh query state allocated %d bytes on %d nodes, want under 64 KiB", fresh, g.N())
+	}
+	// The free list is LIFO, so the next query runs on s.
+	idx.putState(s)
+	var first Result
+	got := allocated(func() {
+		if err := idx.QueryIntoOpts(ctx, 7, &first, QueryOptions{}); err != nil {
+			t.Fatalf("QueryIntoOpts: %v", err)
+		}
+	})
+	if first.Stats.NonHubHits == 0 {
+		t.Fatal("the query ran no backward walks; the test needs them")
+	}
+	if limit := uint64(8 * g.N()); got > limit {
+		t.Errorf("a fresh state's first query allocated %d bytes on %d nodes, want under %d", got, g.N(), limit)
+	}
+	t.Logf("fresh state %d bytes; its first query %d bytes (support %d, %d backward walks)", fresh, got, len(first.Scores), first.Stats.NonHubHits)
 }

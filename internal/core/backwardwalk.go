@@ -16,10 +16,10 @@ import (
 // head in-degree so that scans can stop at the first node whose in-degree
 // exceeds the current threshold.
 //
-// The walker owns two dense frontier buffers (value slice + touched list) so
-// that repeated walks perform no per-call allocation beyond growth of the
-// touched lists; a queryState reuses one walker across every walk of a query
-// and across queries.
+// The walker owns two sparse frontier accumulators, sized to the largest
+// frontier it has expanded, so that repeated walks perform no per-call
+// allocation once they have grown; a queryState reuses one walker across
+// every walk of a query and across queries.
 type backwardWalker struct {
 	g     *graph.Graph
 	alpha float64 // 1-√c
@@ -32,12 +32,10 @@ type backwardWalker struct {
 	outOff []int
 	walkTables
 
-	// cur/next are dense frontier values indexed by node; curTouched and
-	// nextTouched list the nodes with non-zero entries. Outside a call, next is
-	// all-zero and cur holds the previous result at curTouched (zeroed lazily
-	// at the start of the next call).
-	cur, next               []float64
-	curTouched, nextTouched []int
+	// cur and next are the current and next level's frontiers. Between
+	// calls one of them holds the previous result and the other is empty;
+	// the next call resets both.
+	cur, next nodeAcc
 
 	// cost counts the number of estimator increments performed, the quantity
 	// bounded by O(nπ(w)) in Lemma 3.4. Exposed for the experiment harness.
@@ -121,31 +119,17 @@ func (b *backwardWalker) reset(seed uint64) {
 	b.rng.Reseed(seed)
 }
 
-func (b *backwardWalker) ensureScratch() {
-	if b.cur == nil {
-		n := b.g.N()
-		b.cur = make([]float64, n)
-		b.next = make([]float64, n)
-	}
+// ensureTables builds a standalone walker's walk tables on first use.
+func (b *backwardWalker) ensureTables() {
 	if b.edges == nil {
 		b.walkTables = buildWalkTables(b.g, nil)
 	}
 }
 
-// clearScratch zeroes the result left behind by the previous call, restoring
-// the all-zero invariant on both dense buffers.
-func (b *backwardWalker) clearScratch() {
-	for _, v := range b.curTouched {
-		b.cur[v] = 0
-	}
-	b.curTouched = b.curTouched[:0]
-	b.nextTouched = b.nextTouched[:0]
-}
-
 // varianceBoundedInto runs Algorithm 3 from node w with target level ℓ and
-// returns the nodes with non-zero estimates together with the dense value
-// buffer they index into. Both are owned by the walker's scratch and are valid
-// only until the next walk.
+// returns the nodes with non-zero estimates, in first-touch order, with
+// their estimates in the same order. Both are owned by the walker's scratch
+// and are valid only until the next walk.
 //
 // Canonical frontier order: each level's frontier is visited in first-touch
 // order — the order nodes were discovered while expanding the previous level
@@ -163,21 +147,19 @@ func (b *backwardWalker) clearScratch() {
 // first-head in-degree exceeds it both scans would stop at their first
 // edge, and x is skipped without loading its adjacency. Estimates, stream
 // and Cost() are those of the unchecked scans.
-func (b *backwardWalker) varianceBoundedInto(w, level int) (touched []int, values []float64) {
-	b.ensureScratch()
-	b.clearScratch()
-	b.cur[w] = b.alpha
-	b.curTouched = append(b.curTouched, w)
+func (b *backwardWalker) varianceBoundedInto(w, level int) (nodes []int32, vals []float64) {
+	b.ensureTables()
+	cur, next := &b.cur, &b.next
+	cur.reset()
+	next.reset()
+	cur.add(int32(w), b.alpha)
 	outOff := b.outOff
 	edges, recipIn, recs := b.edges, b.recipIn, b.recs
 	rng, alpha, sqrtC := b.rng, b.alpha, b.sqrtC
 	cost := b.cost
 	for i := 0; i < level; i++ {
-		cur, next := b.cur, b.next
-		nextTouched := b.nextTouched
-		for _, x := range b.curTouched {
-			px := cur[x]
-			cur[x] = 0
+		for k, x := range cur.nodes {
+			px := cur.vals[k]
 			// Stop the walk at x with probability 1-√c.
 			if rng.Float64() >= sqrtC {
 				continue
@@ -196,11 +178,7 @@ func (b *backwardWalker) varianceBoundedInto(w, level int) (touched []int, value
 				if float64(e.din) > detThreshold {
 					break
 				}
-				y := int(e.node)
-				if next[y] == 0 {
-					nextTouched = append(nextTouched, y)
-				}
-				next[y] += px * recipIn[y]
+				next.add(e.node, px*recipIn[e.node])
 				cost++
 			}
 			// Randomized part: out-neighbors with din(y) <= π̂/(r(1-√c)) get a
@@ -211,22 +189,18 @@ func (b *backwardWalker) varianceBoundedInto(w, level int) (touched []int, value
 				if float64(e.din) > randThreshold {
 					break
 				}
-				y := int(e.node)
-				if next[y] == 0 {
-					nextTouched = append(nextTouched, y)
-				}
-				next[y] += alpha
+				next.add(e.node, alpha)
 				cost++
 			}
 		}
-		b.cur, b.next = next, cur
-		b.curTouched, b.nextTouched = nextTouched, b.curTouched[:0]
-		if len(b.curTouched) == 0 {
+		cur.reset()
+		cur, next = next, cur
+		if len(cur.nodes) == 0 {
 			break
 		}
 	}
 	b.cost = cost
-	return b.curTouched, b.cur
+	return cur.nodes, cur.vals
 }
 
 // VarianceBounded runs Algorithm 3 and returns the non-zero estimates
@@ -235,13 +209,13 @@ func (b *backwardWalker) varianceBoundedInto(w, level int) (touched []int, value
 // varianceBoundedInto, which returns the walker-owned scratch without
 // allocating.
 func (b *backwardWalker) VarianceBounded(w, level int) map[int]float64 {
-	touched, values := b.varianceBoundedInto(w, level)
-	if len(touched) == 0 {
+	nodes, vals := b.varianceBoundedInto(w, level)
+	if len(nodes) == 0 {
 		return nil
 	}
-	est := make(map[int]float64, len(touched))
-	for _, v := range touched {
-		est[v] = values[v]
+	est := make(map[int]float64, len(nodes))
+	for k, v := range nodes {
+		est[int(v)] = vals[k]
 	}
 	return est
 }

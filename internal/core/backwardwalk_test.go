@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"prsim/internal/gen"
@@ -36,19 +35,34 @@ func powerLaw5k(t testing.TB) *graph.Graph {
 	return g
 }
 
-// referenceVarianceBoundedInto is Algorithm 3 without the expansion
-// precheck: every surviving frontier node loads its adjacency, scans the
-// deterministic part, and only then draws r for the randomized part. The
-// query kernel must match it bit for bit.
-func referenceVarianceBoundedInto(b *backwardWalker, w, level int) (touched []int, values []float64) {
-	b.ensureScratch()
-	b.clearScratch()
-	b.cur[w] = b.alpha
-	b.curTouched = append(b.curTouched, w)
+// denseFrontiers is the reference walk's scratch: dense value arrays indexed
+// by node, with touched lists giving their first-touch order.
+type denseFrontiers struct {
+	cur, next               []float64
+	curTouched, nextTouched []int
+}
+
+func newDenseFrontiers(n int) *denseFrontiers {
+	return &denseFrontiers{cur: make([]float64, n), next: make([]float64, n)}
+}
+
+// referenceVarianceBoundedInto is Algorithm 3 on dense frontiers and without
+// the expansion precheck: every surviving frontier node loads its
+// adjacency, scans the deterministic part, and only then draws r for the
+// randomized part. It draws from b's random stream and adds to b's cost, and
+// returns the touched nodes in first-touch order with the dense values they
+// index. The query kernel must match it bit for bit.
+func referenceVarianceBoundedInto(b *backwardWalker, d *denseFrontiers, w, level int) (touched []int, values []float64) {
+	b.ensureTables()
+	for _, v := range d.curTouched {
+		d.cur[v] = 0
+	}
+	d.curTouched = append(d.curTouched[:0], w)
+	d.cur[w] = b.alpha
 	for i := 0; i < level; i++ {
-		cur, next := b.cur, b.next
-		nextTouched := b.nextTouched
-		for _, x := range b.curTouched {
+		cur, next := d.cur, d.next
+		nextTouched := d.nextTouched[:0]
+		for _, x := range d.curTouched {
 			px := cur[x]
 			cur[x] = 0
 			if b.rng.Float64() >= b.sqrtC {
@@ -83,36 +97,41 @@ func referenceVarianceBoundedInto(b *backwardWalker, w, level int) (touched []in
 				b.cost++
 			}
 		}
-		b.cur, b.next = next, cur
-		b.curTouched, b.nextTouched = nextTouched, b.curTouched[:0]
-		if len(b.curTouched) == 0 {
+		d.cur, d.next = next, cur
+		d.curTouched, d.nextTouched = nextTouched, d.curTouched
+		if len(d.curTouched) == 0 {
 			break
 		}
 	}
-	return b.curTouched, b.cur
+	return d.curTouched, d.cur
 }
 
-// TestVarianceBoundedMatchesReference pins the expansion precheck as exact:
-// over many (w, ℓ, seed) triples the query kernel returns the reference's
-// touched order and value bits, keeps its random stream in step (the
-// walkers run each seed's walks back to back), and reports the same Cost().
+// TestVarianceBoundedMatchesReference pins the query kernel — sparse
+// frontiers and the expansion precheck — as exact: over many (w, ℓ, seed)
+// triples it returns the dense reference's first-touch order and value
+// bits, keeps its random stream in step (the walkers run each seed's walks
+// back to back), and reports the same Cost().
 func TestVarianceBoundedMatchesReference(t *testing.T) {
 	g := powerLaw5k(t)
 	nonEmpty, walks := 0, 0
 	for seed := uint64(1); seed <= 6; seed++ {
 		ref := newBackwardWalker(g, 0.6, walk.NewRNG(seed))
+		dense := newDenseFrontiers(g.N())
 		got := newBackwardWalker(g, 0.6, walk.NewRNG(seed))
 		for w := int(seed); w < g.N(); w += 3 {
 			level := 1 + (w/3)%8
-			rt, rv := referenceVarianceBoundedInto(ref, w, level)
+			rt, rv := referenceVarianceBoundedInto(ref, dense, w, level)
 			gt, gv := got.varianceBoundedInto(w, level)
 			walks++
-			if !slices.Equal(rt, gt) {
-				t.Fatalf("seed %d w=%d level %d: touched %v, reference %v", seed, w, level, gt, rt)
+			if len(gt) != len(rt) || len(gv) != len(gt) {
+				t.Fatalf("seed %d w=%d level %d: %d nodes and %d values, reference %d nodes", seed, w, level, len(gt), len(gv), len(rt))
 			}
-			for _, v := range rt {
-				if math.Float64bits(gv[v]) != math.Float64bits(rv[v]) {
-					t.Fatalf("seed %d w=%d level %d: node %d value %v, reference %v", seed, w, level, v, gv[v], rv[v])
+			for k, v := range rt {
+				if int(gt[k]) != v {
+					t.Fatalf("seed %d w=%d level %d: touched %v, reference %v", seed, w, level, gt, rt)
+				}
+				if math.Float64bits(gv[k]) != math.Float64bits(rv[v]) {
+					t.Fatalf("seed %d w=%d level %d: node %d value %v, reference %v", seed, w, level, v, gv[k], rv[v])
 				}
 			}
 			if got.Cost() != ref.Cost() {

@@ -10,12 +10,13 @@ import (
 )
 
 // fusedWaveSize floors how many per-source accumulator states a fused batch
-// keeps live at once. Each state carries O(n) dense accumulators, so the wave
-// width — max(q.Parallelism, fusedWaveSize), never the batch length — is what
-// bounds the fused path's memory and the size the state pool can grow to: an
-// arbitrarily long batch costs the same resident memory as a handful of
-// concurrent solo queries. Eight states keeps each reserve-list stream shared
-// across a useful number of sources even when the batch runs serially.
+// keeps live at once. Each state holds one source's accumulators until the
+// wave's index-read pass, so the wave width — max(q.Parallelism,
+// fusedWaveSize), never the batch length — is what bounds the fused path's
+// memory and the size the state pool can grow to: an arbitrarily long batch
+// costs the same resident memory as a handful of concurrent solo queries.
+// Eight states keeps each reserve-list stream shared across a useful number
+// of sources even when the batch runs serially.
 const fusedWaveSize = 8
 
 // QueryBatchIntoOpts answers one single-source query per entry of sources,
@@ -24,7 +25,7 @@ const fusedWaveSize = 8
 // within a wave each eligible reserve list L_ℓ(w) is streamed from the entry
 // slab once — not once per source — and folded into every eligible source's
 // private accumulator. The wave width, not the batch length, bounds how many
-// O(n) per-source states are live at once, so batch memory is flat in
+// per-source states are live at once, so batch memory is flat in
 // len(sources). q.Parallelism bounds the worker goroutines; with more than
 // one source the workers parallelize across the wave's sources (each
 // source's walk chunks run on its worker's state), and a single-source batch
@@ -275,7 +276,7 @@ func (idx *Index) readIndexFused(states []*queryState, opts []Options, stats []Q
 					entries = idx.hubEntriesByRank(int(rank), lev)
 				}
 				for _, e := range entries {
-					st.scoreInto(int(e.Node), ep*e.Reserve*invAlphaSq)
+					st.score.add(e.Node, ep*e.Reserve*invAlphaSq)
 				}
 				stats[si].IndexEntriesRead += len(entries)
 			}

@@ -49,7 +49,7 @@ type Index struct {
 	entrySlab    []IndexEntry // all (node, reserve) pairs, hub-major then level-major
 
 	// freeStates is a LIFO free list of idle queryState scratch (walkers,
-	// dense accumulators, median workspace, chunk results); concurrent
+	// sparse accumulators, median workspace, chunk results); concurrent
 	// queries each draw their own state, which is what makes Query safe to
 	// call from many goroutines. A query frees its own state after its
 	// chunk workers', so the state holding warm chunk buffers merges the

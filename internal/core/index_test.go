@@ -344,28 +344,36 @@ func TestSearchHubLevelsMatchesReference(t *testing.T) {
 	}
 }
 
+// digestGraphs are the three fixed generated graphs whose builds
+// (TestBuildSnapshotDigests) and queries (TestQueryScoreDigests) are pinned
+// by recorded SHA-256 digests.
+var digestGraphs = []struct {
+	name string
+	g    func() (*graph.Graph, error)
+}{
+	{"powerlaw-2.5", func() (*graph.Graph, error) {
+		return gen.PowerLaw(gen.PowerLawOptions{N: 3000, AvgDegree: 8, Gamma: 2.5, Directed: true, Seed: 21})
+	}},
+	{"powerlaw-1.2", func() (*graph.Graph, error) {
+		return gen.PowerLaw(gen.PowerLawOptions{N: 2000, AvgDegree: 6, Gamma: 1.2, Directed: true, Seed: 22})
+	}},
+	{"erdos-renyi", func() (*graph.Graph, error) {
+		return gen.ErdosRenyi(gen.EROptions{N: 2000, AvgDegree: 6, Directed: true, Seed: 23})
+	}},
+}
+
 // TestBuildSnapshotDigests pins the bytes a build saves: indexes built from
-// three fixed generated graphs must hash to the SHA-256 digests recorded
-// while the backward search still ran on maps, at Parallelism 1, 2 and 4, so
-// a change to the search's scratch, its visiting order or the per-worker
-// state shows as a digest mismatch, on 32-bit hosts too.
+// the three digest graphs must hash to the SHA-256 digests recorded while
+// the backward search still ran on maps, at Parallelism 1, 2 and 4, so a
+// change to the search's scratch, its visiting order or the per-worker state
+// shows as a digest mismatch, on 32-bit hosts too.
 func TestBuildSnapshotDigests(t *testing.T) {
-	cases := []struct {
-		name string
-		g    func() (*graph.Graph, error)
-		want string
-	}{
-		{"powerlaw-2.5", func() (*graph.Graph, error) {
-			return gen.PowerLaw(gen.PowerLawOptions{N: 3000, AvgDegree: 8, Gamma: 2.5, Directed: true, Seed: 21})
-		}, "f02bf3eadf228f88e0da79438145b551849a8097981dbbf80c13905bf8fd2337"},
-		{"powerlaw-1.2", func() (*graph.Graph, error) {
-			return gen.PowerLaw(gen.PowerLawOptions{N: 2000, AvgDegree: 6, Gamma: 1.2, Directed: true, Seed: 22})
-		}, "01734e584b7d18b79792a52e71e2dc593ea0e90c87184f09c438f55e8edeac72"},
-		{"erdos-renyi", func() (*graph.Graph, error) {
-			return gen.ErdosRenyi(gen.EROptions{N: 2000, AvgDegree: 6, Directed: true, Seed: 23})
-		}, "8f5a62510e7c288f2490f55066845bd15df9f84625adcb7b1f39fc3407d75b66"},
+	want := map[string]string{
+		"powerlaw-2.5": "f02bf3eadf228f88e0da79438145b551849a8097981dbbf80c13905bf8fd2337",
+		"powerlaw-1.2": "01734e584b7d18b79792a52e71e2dc593ea0e90c87184f09c438f55e8edeac72",
+		"erdos-renyi":  "8f5a62510e7c288f2490f55066845bd15df9f84625adcb7b1f39fc3407d75b66",
 	}
-	for _, tc := range cases {
+	for _, tc := range digestGraphs {
 		for _, p := range []int{1, 2, 4} {
 			g, err := tc.g()
 			if err != nil {
@@ -380,8 +388,8 @@ func TestBuildSnapshotDigests(t *testing.T) {
 				t.Fatalf("%s: Save: %v", tc.name, err)
 			}
 			sum := sha256.Sum256(buf.Bytes())
-			if got := hex.EncodeToString(sum[:]); got != tc.want {
-				t.Errorf("%s at Parallelism %d: snapshot SHA-256 %s, want %s", tc.name, p, got, tc.want)
+			if got := hex.EncodeToString(sum[:]); got != want[tc.name] {
+				t.Errorf("%s at Parallelism %d: snapshot SHA-256 %s, want %s", tc.name, p, got, want[tc.name])
 			}
 		}
 	}

@@ -59,14 +59,18 @@ func BenchmarkPairMeet(b *testing.B) {
 
 // BenchmarkBackwardWalk measures one Variance Bounded Backward Walk
 // (Algorithm 3) through the zero-allocation query-path entry point, at the
-// level depth a typical terminated walk produces.
+// level depth a typical terminated walk produces, and reports how many
+// estimates a walk returns.
 func BenchmarkBackwardWalk(b *testing.B) {
 	g := kernelBenchGraph(b)
 	bw := newBackwardWalker(g, 0.6, walk.NewRNG(2))
+	returned := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bw.varianceBoundedInto(i%g.N(), 3)
+		nodes, _ := bw.varianceBoundedInto(i%g.N(), 3)
+		returned += len(nodes)
 	}
+	b.ReportMetric(float64(returned)/float64(b.N), "estimates/op")
 }
 
 // BenchmarkTopK measures bounded-heap selection of the 50 best nodes from a

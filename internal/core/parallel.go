@@ -111,9 +111,9 @@ type candidate struct {
 // walk stops at u and feeds only s(u,u), which finalize sets to 1, and an
 // empty backward walk contributes 0 whatever its pair does.
 //
-// The state's dense accumulators serve as scratch and are compacted into
-// ph.crs[j], restoring the all-zero invariant — one state can therefore run
-// any number of chunks back to back, and the query's own state runs chunks
+// The state's round and η·π accumulators serve as scratch and are compacted
+// into ph.crs[j], leaving them empty — one state can therefore run any
+// number of chunks back to back, and the query's own state runs chunks
 // between merges.
 func (s *queryState) runChunk(ph *walkPhase, j int) {
 	cr := &ph.crs[j]
@@ -139,13 +139,13 @@ func (s *queryState) runChunk(ph *walkPhase, j int) {
 		rank := recs[w].hubRank
 		if rank < 0 {
 			cr.nonHubHits++
-			touched, values := s.bw.varianceBoundedInto(w, level)
-			if len(touched) == 0 {
+			nodes, vals := s.bw.varianceBoundedInto(w, level)
+			if len(nodes) == 0 {
 				continue
 			}
-			for _, v := range touched {
-				bwNodes = append(bwNodes, int32(v))
-				bwVals = append(bwVals, values[v]*ph.bwInvDiv)
+			bwNodes = append(bwNodes, nodes...)
+			for _, x := range vals {
+				bwVals = append(bwVals, x*ph.bwInvDiv)
 			}
 		}
 		cands = append(cands, candidate{level: int32(level), rank: rank, end: int32(len(bwNodes))})
@@ -170,12 +170,9 @@ func (s *queryState) runChunk(ph *walkPhase, j int) {
 	}
 
 	// Compact the chunk's share of the round accumulator.
-	for _, v := range s.roundTouched {
-		cr.nodes = append(cr.nodes, int32(v))
-		cr.vals = append(cr.vals, s.roundAcc[v])
-		s.roundAcc[v] = 0
-	}
-	s.roundTouched = s.roundTouched[:0]
+	cr.nodes = append(cr.nodes, s.round.nodes...)
+	cr.vals = append(cr.vals, s.round.vals...)
+	s.round.reset()
 
 	// Compact the per-level η·π accumulators: levels ascending, ranks in
 	// chunk-local first-touch order (the fold after the walk loop
@@ -203,8 +200,8 @@ func (s *queryState) runChunk(ph *walkPhase, j int) {
 // observations are folded from the chunk results once the loop ends, in the
 // same order, so s's hub accumulators stay empty while chunks run and s
 // executes chunks itself. On success s holds the η·π accumulators and the
-// median-folded dense scores; on cancellation it returns the context's error
-// and s keeps its all-zero invariants. It reports how many chunks it ran
+// median-folded scores; on cancellation it returns the context's error and
+// s keeps its accumulators empty. It reports how many chunks it ran
 // either way, so callers can count the work a cancellation threw away.
 //
 // Determinism: chunk boundaries and seeds depend only on the effective
@@ -277,7 +274,7 @@ func (idx *Index) runWalkPhase(ctx context.Context, s *queryState, u int, opts O
 		s.rescaleEta(float64(fr) / float64(R))
 	}
 	// sB(u, v): median over rounds (missing rounds count as zero), folded
-	// into the dense final-score accumulator.
+	// into the final-score accumulator.
 	s.medianScores(R)
 	return ran, nil
 }
@@ -350,14 +347,7 @@ func (s *queryState) mergeRound(chunks []chunkResult, i int, stats *QueryStats) 
 		s.roundVals[i], cr.vals = cr.vals, s.roundVals[i][:0]
 	} else {
 		for k := range chunks {
-			cr := &chunks[k]
-			for t, v32 := range cr.nodes {
-				v := int(v32)
-				if s.roundAcc[v] == 0 {
-					s.roundTouched = append(s.roundTouched, v)
-				}
-				s.roundAcc[v] += cr.vals[t]
-			}
+			s.accumulate(chunks[k].nodes, chunks[k].vals)
 		}
 		s.finishRound(i)
 	}

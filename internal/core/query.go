@@ -195,13 +195,14 @@ func (idx *Index) EffectiveOptions(q QueryOptions) (Options, bool) {
 // into a caller-owned Result, reusing res.Scores when present so repeated
 // queries on one worker amortize the map allocation. It is the single entry
 // point the whole request plane funnels into. All scratch state — walkers,
-// dense accumulators, the median workspace, chunk results — comes from a
-// per-index free list of query states, so steady-state queries only allocate
-// the returned score map entries (and nothing at all when reusing a result
-// whose map has already grown to the support size). The query is Algorithm 4
-// run once: the walk phase (runWalkPhase, with adaptive stopping as an early
-// exit from its loop), then the index-read pass over a one-source wave
-// (readIndexFused).
+// sparse node-keyed accumulators, the median workspace, chunk results —
+// comes from a per-index free list of query states, each sized to the
+// largest query it has served rather than to the graph, so steady-state
+// queries only allocate the returned score map entries (and nothing at all
+// when reusing a result whose map has already grown to the support size).
+// The query is Algorithm 4 run once: the walk phase (runWalkPhase, with
+// adaptive stopping as an early exit from its loop), then the index-read
+// pass over a one-source wave (readIndexFused).
 //
 // The context is checked before every walk chunk, so a cancelled or expired
 // context aborts the query within one chunk's worth of work and leaves res
@@ -263,29 +264,26 @@ func (idx *Index) queryInto(ctx context.Context, u int, res *Result, q QueryOpti
 	return ran, nil
 }
 
-// finalize publishes the state's dense final scores into res. Every fallible
-// step is behind us; only now is the caller's score map recycled, so a
-// cancelled query leaves res untouched. The map is built in one pass from
-// the dense accumulator, which is zeroed along the way to restore the
-// all-zero invariant for the next pooled query.
+// finalize publishes the state's final scores into res. Every fallible step
+// is behind us; only now is the caller's score map recycled, so a cancelled
+// query leaves res untouched. The map is built in one pass from the score
+// accumulator, which is then emptied for the next pooled query.
 func (s *queryState) finalize(u int, res *Result, stats *QueryStats, start time.Time) {
 	// SimRank of a node with itself is 1 by definition.
-	if s.scoreAcc[u] == 0 {
-		s.scoreTouched = append(s.scoreTouched, u)
-	}
-	s.scoreAcc[u] = 1
+	acc := &s.score
+	i := acc.at(int32(u))
+	acc.vals[i] = 1
 
 	scores := res.Scores
 	if scores == nil {
-		scores = make(map[int]float64, len(s.scoreTouched))
+		scores = make(map[int]float64, len(acc.nodes))
 	} else {
 		clear(scores)
 	}
-	for _, v := range s.scoreTouched {
-		scores[v] = s.scoreAcc[v]
-		s.scoreAcc[v] = 0
+	for k, v := range acc.nodes {
+		scores[int(v)] = acc.vals[k]
 	}
-	s.scoreTouched = s.scoreTouched[:0]
+	acc.reset()
 
 	stats.Time = time.Since(start)
 	res.Source = u

@@ -2,8 +2,13 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"hash"
 	"math"
+	"slices"
 	"testing"
 
 	"prsim/internal/powermethod"
@@ -430,4 +435,105 @@ func TestWalkPhaseSamplesFewPairs(t *testing.T) {
 	if pairs*5 > nr {
 		t.Errorf("%d pairs over %d walks, want at most 1 per 5 walks", pairs, nr)
 	}
+}
+
+// TestQueryScoreDigests pins the bits queries return: on each digest graph,
+// eight fixed sources queried at fixed ε, fixed 2ε and adaptive ε, and as
+// one fused 8-source batch at 2ε, must hash to the SHA-256 digests recorded
+// while every per-query accumulator was still a dense n-sized array, at
+// Parallelism 1 and 4. Each source contributes its sorted node ids with
+// their score bits and its Walks, BackwardWalkCost and IndexEntriesRead
+// counts, so a change to an accumulation order, a random stream or a work
+// count shows as a digest mismatch, on 32-bit hosts too.
+func TestQueryScoreDigests(t *testing.T) {
+	sources := []int{3, 17, 256, 511, 777, 1024, 1500, 1999}
+	modes := []struct {
+		name  string
+		q     QueryOptions
+		batch bool
+	}{
+		{"fixed-eps", QueryOptions{}, false},
+		{"fixed-2eps", QueryOptions{Epsilon: 0.2}, false},
+		{"adaptive-eps", QueryOptions{Adaptive: true}, false},
+		{"batch-2eps", QueryOptions{Epsilon: 0.2}, true},
+	}
+	want := map[string]string{
+		"powerlaw-2.5/fixed-eps":    "5f7247b67f8514605f1d902f055a25dae4612f77ff8171a589b3de29151d2dc0",
+		"powerlaw-2.5/fixed-2eps":   "839f9bf53ba9750197294639b3b28fb2a96be91aa276553f1d616db1b962f3a1",
+		"powerlaw-2.5/adaptive-eps": "7927713da0b4f66a99496b441dc59a39191b69062f57ad404eaed69fa9775c86",
+		"powerlaw-2.5/batch-2eps":   "839f9bf53ba9750197294639b3b28fb2a96be91aa276553f1d616db1b962f3a1",
+		"powerlaw-1.2/fixed-eps":    "4d5a663b1e338cebc2d1fff0f4e252397f0907138d1b70d0c3f80947087c6286",
+		"powerlaw-1.2/fixed-2eps":   "dce671f3eb4e639da5eabd10aed0e49a3a2b2d1732b95613d9566d9b6580f37d",
+		"powerlaw-1.2/adaptive-eps": "6d380946caefc6620869729ca2968f76e737c4cfaf4b91d3bbff1ca78f087485",
+		"powerlaw-1.2/batch-2eps":   "dce671f3eb4e639da5eabd10aed0e49a3a2b2d1732b95613d9566d9b6580f37d",
+		"erdos-renyi/fixed-eps":     "309ed3abf29bb664c995d8b2b1e78ea8f270e024d3164579aa713246da0b632a",
+		"erdos-renyi/fixed-2eps":    "82dcee4cbc18dce09695a9cdfc09e84964c18d960b81dd5bb253e91cb3145d45",
+		"erdos-renyi/adaptive-eps":  "8fb9a305cb80458683854b2547db81a7a1e0d3b499e95f2dbee87bca4fd8df2f",
+		"erdos-renyi/batch-2eps":    "82dcee4cbc18dce09695a9cdfc09e84964c18d960b81dd5bb253e91cb3145d45",
+	}
+	ctx := context.Background()
+	for _, tc := range digestGraphs {
+		g, err := tc.g()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		idx, err := BuildIndex(g, Options{Epsilon: 0.1, NumHubs: -1, Seed: 5, SampleScale: 0.1})
+		if err != nil {
+			t.Fatalf("%s: BuildIndex: %v", tc.name, err)
+		}
+		for _, m := range modes {
+			for _, p := range []int{1, 4} {
+				q := m.q
+				q.Parallelism = p
+				results := make([]*Result, len(sources))
+				for i := range results {
+					results[i] = &Result{}
+				}
+				if m.batch {
+					err = idx.QueryBatchIntoOpts(ctx, sources, results, q)
+				} else {
+					for i, u := range sources {
+						if err = idx.QueryIntoOpts(ctx, u, results[i], q); err != nil {
+							break
+						}
+					}
+				}
+				if err != nil {
+					t.Fatalf("%s %s p=%d: %v", tc.name, m.name, p, err)
+				}
+				h := sha256.New()
+				for _, r := range results {
+					hashResult(h, r)
+				}
+				key := tc.name + "/" + m.name
+				if got := hex.EncodeToString(h.Sum(nil)); got != want[key] {
+					t.Errorf("%s at Parallelism %d: query SHA-256 %s, want %s", key, p, got, want[key])
+				}
+			}
+		}
+	}
+}
+
+// hashResult writes r's source, its scores as (node id, score bits) pairs in
+// ascending node order, and its Walks, BackwardWalkCost and IndexEntriesRead
+// counts to h, each as a little-endian uint64.
+func hashResult(h hash.Hash, r *Result) {
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	put(uint64(r.Source))
+	nodes := make([]int, 0, len(r.Scores))
+	for v := range r.Scores {
+		nodes = append(nodes, v)
+	}
+	slices.Sort(nodes)
+	for _, v := range nodes {
+		put(uint64(v))
+		put(math.Float64bits(r.Scores[v]))
+	}
+	put(uint64(r.Stats.Walks))
+	put(uint64(r.Stats.BackwardWalkCost))
+	put(uint64(r.Stats.IndexEntriesRead))
 }

@@ -7,12 +7,13 @@ import (
 )
 
 // queryState bundles every scratch buffer a single-source query needs — the
-// √c-walker with its batch buffer, the backward walker with its dense
-// frontiers, the per-round and per-level accumulators, the median workspace,
-// the dense final-score accumulator, and the chunk results of the query it
-// merges — so that a worker can run many queries with zero steady-state
-// allocation. Idle states wait on the Index's free list (getState/putState)
-// and are sized to the graph on creation.
+// √c-walker with its batch buffer, the backward walker with its frontiers,
+// the per-round and per-level accumulators, the median workspace, the
+// final-score accumulator, and the chunk results of the query it merges —
+// so that a worker can run many queries with zero steady-state allocation.
+// Idle states wait on the Index's free list (getState/putState). Nothing in
+// a state is sized to the graph: its node-keyed accumulators are sparse
+// (nodeAcc), so a state's memory follows the largest query it has served.
 type queryState struct {
 	idx *Index
 
@@ -43,10 +44,9 @@ type queryState struct {
 	etaVals    [][]float64
 	etaTouched [][]int32
 
-	// roundAcc is the dense accumulator for the current round's backward-walk
-	// estimates; roundTouched lists its non-zero entries.
-	roundAcc     []float64
-	roundTouched []int
+	// round accumulates the current round's backward-walk estimates (inside
+	// runChunk, one chunk's share of them).
+	round nodeAcc
 
 	// roundNodes/roundVals hold the compacted per-round estimates: round i
 	// touched roundNodes[i] with values roundVals[i]. The inner slices are
@@ -54,21 +54,17 @@ type queryState struct {
 	roundNodes [][]int32
 	roundVals  [][]float64
 
-	// Median workspace (see unionRounds): uid assigns each node in the union
-	// of round supports a compact id (valid when uidGen[v] == gen); valsMat
-	// is the |union|×R matrix of per-round values, zeroed on release.
-	uid        []int32
-	uidGen     []uint32
-	gen        uint32
-	unionNodes []int
-	cnt        []int32 // per-union-node round count, parallel to unionNodes
-	valsMat    []float64
+	// Median workspace (see unionRounds): union holds the union of the round
+	// supports, each node's position in it being its compact id and its
+	// value its round count; valsMat is the |union|×R matrix of per-round
+	// values, zeroed on release.
+	union   nodeAcc
+	valsMat []float64
 
-	// scoreAcc is the dense final-score accumulator the median and index-read
-	// passes write into; scoreTouched lists its non-zero entries. The result
-	// map is built from them in one pass at the end of the query.
-	scoreAcc     []float64
-	scoreTouched []int
+	// score is the final-score accumulator the median and index-read passes
+	// write into; the result map is built from it in one pass at the end of
+	// the query.
+	score nodeAcc
 
 	// phase is the chunk decomposition of the query this state merges, and
 	// chunks its result slots, indexed by global chunk number: each holds a
@@ -84,8 +80,8 @@ type queryState struct {
 	// hub-mass shares, plus the scratch list of matrix rows the
 	// median-concentration test sorted (and must therefore zero wholesale).
 	// The per-node side of the stop rule reads the compacted per-round
-	// lists above through the shared median workspace, so it keeps no dense
-	// state of its own.
+	// lists above through the shared median workspace, so it keeps no
+	// per-node state of its own.
 	hSum, hSumSq, hMin, hMax float64
 	sortedRows               []int32
 
@@ -98,7 +94,6 @@ type queryState struct {
 }
 
 func newQueryState(idx *Index) *queryState {
-	n := idx.g.N()
 	rng := walk.NewRNG(0)
 	// The walker and backward walker are constructed once and re-seeded per
 	// query; Options are already validated, so walker construction cannot fail.
@@ -108,20 +103,11 @@ func newQueryState(idx *Index) *queryState {
 	}
 	bw := newBackwardWalker(idx.g, idx.opts.C, walk.NewRNG(0))
 	bw.walkTables = idx.walkTables()
-	return &queryState{
-		idx:      idx,
-		rng:      rng,
-		walker:   walker,
-		bw:       bw,
-		roundAcc: make([]float64, n),
-		scoreAcc: make([]float64, n),
-		uid:      make([]int32, n),
-		uidGen:   make([]uint32, n),
-	}
+	return &queryState{idx: idx, rng: rng, walker: walker, bw: bw}
 }
 
-// getState pops the most recently freed query state, creating one sized to
-// the graph when the free list is empty.
+// getState pops the most recently freed query state, creating one when the
+// free list is empty.
 func (idx *Index) getState() *queryState {
 	idx.freeMu.Lock()
 	n := len(idx.freeStates)
@@ -151,11 +137,11 @@ func (s *queryState) growChunks(n int) []chunkResult {
 	return s.chunks[:n]
 }
 
-// resetScratch restores the all-zero invariant on every dense accumulator a
-// previous query left filled — the η·π accumulators a completed query keeps
-// until its state is reused, or whatever a cancelled batch left behind.
-// Every walk phase calls it on its merging state and its borrowed workers
-// (each chunk seeds the kernels itself, so nothing needs re-seeding).
+// resetScratch empties every accumulator a previous query left filled — the
+// η·π accumulators a completed query keeps until its state is reused, or
+// whatever a cancelled batch left behind. Every walk phase calls it on its
+// merging state and its borrowed workers (each chunk seeds the kernels
+// itself, so nothing needs re-seeding).
 func (s *queryState) resetScratch() {
 	for l, touched := range s.etaTouched {
 		vals := s.etaVals[l]
@@ -164,18 +150,12 @@ func (s *queryState) resetScratch() {
 		}
 		s.etaTouched[l] = touched[:0]
 	}
-	for _, v := range s.roundTouched {
-		s.roundAcc[v] = 0
-	}
-	s.roundTouched = s.roundTouched[:0]
-	for _, v := range s.scoreTouched {
-		s.scoreAcc[v] = 0
-	}
-	s.scoreTouched = s.scoreTouched[:0]
+	s.round.reset()
+	s.score.reset()
 }
 
 // addEtaPi folds one terminated-walk observation at hub rank into the level-ℓ
-// dense accumulator, growing the per-level buffers on first touch of a level.
+// accumulator, growing the per-level buffers on first touch of a level.
 func (s *queryState) addEtaPi(level, rank int, inc float64) {
 	for len(s.etaVals) <= level {
 		s.etaVals = append(s.etaVals, nil)
@@ -192,24 +172,12 @@ func (s *queryState) addEtaPi(level, rank int, inc float64) {
 	vals[rank] += inc
 }
 
-// scoreInto folds one contribution into the dense final-score accumulator.
-func (s *queryState) scoreInto(v int, val float64) {
-	if s.scoreAcc[v] == 0 {
-		s.scoreTouched = append(s.scoreTouched, v)
-	}
-	s.scoreAcc[v] += val
-}
-
 // accumulate folds one backward-walk estimate — nodes with their values
-// already scaled by 1/(α²·d_r), the running-mean shape of Algorithm 4 —
-// into the current round's accumulator.
+// already scaled by 1/(α²·d_r), the running-mean shape of Algorithm 4 — or
+// one chunk's compacted share of a round into the round accumulator.
 func (s *queryState) accumulate(nodes []int32, vals []float64) {
-	for t, v32 := range nodes {
-		v := int(v32)
-		if s.roundAcc[v] == 0 {
-			s.roundTouched = append(s.roundTouched, v)
-		}
-		s.roundAcc[v] += vals[t]
+	for t, v := range nodes {
+		s.round.add(v, vals[t])
 	}
 }
 
@@ -221,48 +189,29 @@ func (s *queryState) growRounds(i int) {
 	}
 }
 
-// finishRound compacts the current round accumulator into the round-i sparse
-// lists and zeroes the accumulator for the next round.
+// finishRound copies the round accumulator into the round-i sparse lists
+// and empties it for the next round.
 func (s *queryState) finishRound(i int) {
 	s.growRounds(i)
-	nodes := s.roundNodes[i][:0]
-	vals := s.roundVals[i][:0]
-	for _, v := range s.roundTouched {
-		nodes = append(nodes, int32(v))
-		vals = append(vals, s.roundAcc[v])
-		s.roundAcc[v] = 0
-	}
-	s.roundNodes[i] = nodes
-	s.roundVals[i] = vals
-	s.roundTouched = s.roundTouched[:0]
+	s.roundNodes[i] = append(s.roundNodes[i][:0], s.round.nodes...)
+	s.roundVals[i] = append(s.roundVals[i][:0], s.round.vals...)
+	s.round.reset()
 }
 
-// unionRounds assigns compact ids to the union of the first R merged rounds'
-// supports — uid[v], valid while uidGen[v] == gen, in first-touch order —
-// counts each union node's rounds in cnt, and returns the all-zero
-// |union|×R matrix workspace for the per-round values. The median pass and
-// the adaptive stop rule share it.
+// unionRounds collects the union of the first R merged rounds' supports in
+// s.union — a node's position there, in first-touch order, is its compact
+// id, and its value counts the rounds it appears in — and returns the
+// all-zero |union|×R matrix workspace for the per-round values. The median
+// pass and the adaptive stop rule share it.
 func (s *queryState) unionRounds(R int) []float64 {
-	s.gen++
-	if s.gen == 0 { // generation counter wrapped; invalidate all stale marks
-		clear(s.uidGen)
-		s.gen = 1
-	}
-	s.unionNodes = s.unionNodes[:0]
-	s.cnt = s.cnt[:0]
+	u := &s.union
+	u.reset()
 	for _, nodes := range s.roundNodes[:R] {
-		for _, v32 := range nodes {
-			v := int(v32)
-			if s.uidGen[v] != s.gen {
-				s.uidGen[v] = s.gen
-				s.uid[v] = int32(len(s.unionNodes))
-				s.unionNodes = append(s.unionNodes, v)
-				s.cnt = append(s.cnt, 0)
-			}
-			s.cnt[s.uid[v]]++
+		for _, v := range nodes {
+			u.add(v, 1)
 		}
 	}
-	need := len(s.unionNodes) * R
+	need := len(u.nodes) * R
 	if cap(s.valsMat) < need {
 		s.valsMat = make([]float64, need)
 	}
@@ -271,29 +220,30 @@ func (s *queryState) unionRounds(R int) []float64 {
 
 // medianScores computes, for every node touched by any of the first fr rounds,
 // the median of its per-round estimates (missing rounds count as zero) and
-// folds the non-zero medians into the dense final-score accumulator.
+// folds the non-zero medians into the final-score accumulator.
 func (s *queryState) medianScores(fr int) {
 	mat := s.unionRounds(fr)
+	u := &s.union
 	// The estimates are non-negative and missing rounds count as zero, so a
 	// node's median can only be non-zero when it appears in more than half
 	// the rounds. The sparse majority of the union is decided right here by
 	// its round count; only majority nodes are scattered and selected.
-	minNz := int32(fr - fr/2)
+	minNz := float64(fr - fr/2)
 	for i, nodes := range s.roundNodes[:fr] {
 		vals := s.roundVals[i]
-		for j, v32 := range nodes {
-			if ui := s.uid[v32]; s.cnt[ui] >= minNz {
-				mat[int(ui)*fr+i] = vals[j]
+		for j, v := range nodes {
+			if ui := u.at(v); u.vals[ui] >= minNz {
+				mat[ui*fr+i] = vals[j]
 			}
 		}
 	}
-	for ui, v := range s.unionNodes {
-		if s.cnt[ui] < minNz {
+	for ui, v := range u.nodes {
+		if u.vals[ui] < minNz {
 			continue
 		}
 		row := mat[ui*fr : (ui+1)*fr]
 		if m := medianInPlace(row); m != 0 {
-			s.scoreInto(v, m)
+			s.score.add(v, m)
 		}
 		clear(row)
 	}
